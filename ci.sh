@@ -120,6 +120,19 @@ cargo run --release -q -p fm-bench --bin table_e22_evalperf -- --quick --json "$
 [ -s "$e22_dir/BENCH_e22.json" ] || { echo "evalperf-smoke: E22 emitted no JSON"; exit 1; }
 rm -rf "$e22_dir"
 
+echo "== servebench-smoke: served-mapping benchmark correctness gates =="
+# servebench is a package of its own with its own Cargo.lock, so the
+# workspace build, clippy and tests above never compile it against the
+# current crates. Build it, then run the two workloads that drive
+# fm-core::delta for a few seconds each: the binary exits non-zero if a
+# session winner differs from a cold replay or a served tune from an
+# in-process tune.
+cargo build --release --offline -q --manifest-path servebench/Cargo.toml
+for workload in session-stream anneal-refine; do
+    cargo run --release --offline -q --manifest-path servebench/Cargo.toml -- \
+        --workload "$workload" --seed 7 --seconds 3 --trace 0 >/dev/null
+done
+
 echo "== serve-smoke: daemon + example over the wire =="
 # Launch the real daemon on an ephemeral port, run the example against
 # it (FM_SERVE_SHUTDOWN=1 makes the example request the drain), and

@@ -190,6 +190,46 @@ impl CostTree {
         }
     }
 
+    /// Append a leaf. The shape follows the new length exactly as
+    /// [`Self::build`] would; only outgrowing the power-of-two capacity
+    /// re-lays the tree out.
+    pub fn push_leaf(&mut self, v: NodeCost) {
+        if self.len < self.cap {
+            self.len += 1;
+            self.update(self.len - 1, v);
+        } else {
+            let mut leaves: Vec<NodeCost> = (0..self.len).map(|j| self.leaf(j)).collect();
+            leaves.push(v);
+            *self = CostTree::build(&leaves);
+        }
+    }
+
+    /// Remove leaf `i`, shifting later leaves down one slot. The shape
+    /// follows the new length exactly as [`Self::build`] would; removing
+    /// the last leaf within the same capacity refreshes one root path.
+    pub fn remove_leaf(&mut self, i: usize) {
+        let last = self.len - 1;
+        if last.next_power_of_two().max(1) != self.cap {
+            let leaves: Vec<NodeCost> = (0..self.len)
+                .filter(|&j| j != i)
+                .map(|j| self.leaf(j))
+                .collect();
+            *self = CostTree::build(&leaves);
+            return;
+        }
+        for j in i..last {
+            let v = self.leaf(j + 1);
+            self.set_leaf(j, v);
+        }
+        if i == last {
+            self.update(last, NodeCost::default());
+        } else {
+            self.set_leaf(last, NodeCost::default());
+            self.refresh();
+        }
+        self.len = last;
+    }
+
     fn at(&self, j: usize) -> NodeCost {
         NodeCost {
             compute_fj: self.compute_fj[j],
@@ -478,38 +518,25 @@ impl<'a> Evaluator<'a> {
     /// optional output writeback. Placement-independent.
     pub(crate) fn offchip_totals(&self) -> OffchipTotals {
         let g = self.graph;
-        let m = self.machine;
-        let width = u64::from(g.width_bits);
         let mut dram_elements: HashSet<(u32, u32)> = HashSet::new();
         for n in &g.nodes {
             for (input, flat) in n.expr.input_reads() {
-                if matches!(self.input_placements[input as usize], InputPlacement::Dram) {
+                if self.dram_input(input) {
                     dram_elements.insert((input, flat));
                 }
             }
         }
-        let mut off = OffchipTotals::default();
-        let be = self.backend();
-        let charge = |off: &mut OffchipTotals| {
-            off.fj += be.offchip_energy(&m.tech, width).raw();
-            off.transfers += 1;
-            off.bits += width;
+        let writeback = if self.writeback_outputs {
+            g.outputs().len() as u64
+        } else {
+            0
         };
-        for _ in &dram_elements {
-            charge(&mut off);
-        }
-        if self.writeback_outputs {
-            for _ in g.outputs() {
-                charge(&mut off);
-            }
-        }
-        off
+        self.offchip_from_count(dram_elements.len() as u64 + writeback)
     }
 
-    /// Whether `input` is placed off-chip (DRAM). The incremental
-    /// evaluator refcounts distinct DRAM element reads across edits, so
-    /// it needs to classify reads the same way
-    /// [`Self::offchip_totals`] does.
+    /// Whether `input` is placed off-chip (DRAM): the one read
+    /// classification behind both [`Self::offchip_totals`] and the
+    /// session engine's refcount of distinct DRAM element reads.
     pub(crate) fn dram_input(&self, input: u32) -> bool {
         matches!(
             self.input_placements.get(input as usize),
@@ -522,11 +549,11 @@ impl<'a> Evaluator<'a> {
         self.writeback_outputs
     }
 
-    /// Off-chip totals from a transfer count. Every transfer
-    /// [`Self::offchip_totals`] charges is identical (same width), so
-    /// its fold is a pure function of the count; replaying the same
-    /// fold reproduces the totals bit-for-bit without re-walking the
-    /// graph.
+    /// Off-chip totals from a transfer count: the one off-chip charge
+    /// fold. Every transfer is identical (same width), so the totals
+    /// are a pure function of the count, and callers that maintain the
+    /// count across edits reproduce [`Self::offchip_totals`]
+    /// bit-for-bit without re-walking the graph.
     pub(crate) fn offchip_from_count(&self, transfers: u64) -> OffchipTotals {
         let m = self.machine;
         let be = self.backend();

@@ -1,11 +1,16 @@
-//! Incremental cost/legality evaluation: O(Δ) per placement move.
+//! Incremental cost/legality evaluation: cone-sized repair of one
+//! shared state.
 //!
-//! The annealer in [`crate::search`] refines a mapping one single-node
-//! placement move at a time, but re-deriving the schedule and re-walking
-//! the whole graph per move costs O(|V|+|E|) — graph-sized work for a
-//! cone-sized change. [`DeltaEvaluator`] caches everything the full
-//! [`Evaluator`](crate::cost::Evaluator) derives from a placement and
-//! repairs only what a move can touch:
+//! Two engines keep a mapping's evaluation current under small changes
+//! instead of re-walking the graph, and both keep it in the same
+//! [`DenseState`]: the places and times, last-use times, dense per-PE
+//! node lists and peaks, the time and peak histograms, the occupied and
+//! over-capacity PE counts, and the cost tree. The state has one build,
+//! one peak re-sweep, one last-use recompute and one report assembly;
+//! the engines differ only in what changes the places and times.
+//!
+//! [`DeltaEvaluator`] serves the annealer in [`crate::search`], which
+//! refines a mapping one single-node placement move at a time:
 //!
 //! * **Times** (list schedule): node ids are topological (`deps[k] < id`)
 //!   and the retime rule consults only *smaller-id* nodes (producers,
@@ -28,11 +33,12 @@
 //!   sentinel instead of the makespan — the peak of an interval stack is
 //!   invariant to any right endpoint past the last start — so peaks
 //!   never depend on makespan changes.
-//! * **Aggregates**: makespan and the global peak are maxima over
-//!   multisets kept in `BTreeMap` histograms; PEs-used is the size of
-//!   the PE→nodes index; the storage-violation count is maintained as
-//!   peaks change. [`DeltaEvaluator::report`] is therefore O(1)-ish
-//!   (one tree-root read plus map lookups).
+//! * **Aggregates**: PEs are interned to dense ids by the flat engine's
+//!   `y·cols + x` rule, so node lists and peaks are plain vectors.
+//!   Makespan and the global peak are maxima over multisets kept in
+//!   `BTreeMap` histograms keyed by cycle and by bits; PEs-used and the
+//!   storage-violation count are maintained as lists and peaks change.
+//!   The report is therefore one tree-root read plus two map lookups.
 //!
 //! In debug builds every [`DeltaEvaluator::apply_move`] re-derives the
 //! full schedule and report and asserts bit-exact equality
@@ -46,23 +52,29 @@
 //! prior state with no scheduling, sweeping, or sorting at all. The
 //! annealer uses it to make rejected proposals nearly free.
 //!
-//! [`DeltaCandidates`] applies the same bit-exactness discipline to a
-//! *pool* of mapping candidates under **structural** edits
-//! ([`AppliedEdit`]: add/remove node, retarget edge, resize tile).
-//! A candidate's places and times are pure functions of each node's
-//! immutable domain index (affine) or of a fixed table, so an edit
-//! never reschedules surviving nodes — the legality counters (bounds,
-//! causality, issue width, storage) and the cost-tree leaves can be
-//! repaired in edit-cone-sized work per candidate, and a candidate's
-//! evaluation stays bit-identical to
+//! [`DeltaCandidates`] serves sessions: a *pool* of mapping candidates
+//! under **structural** edits ([`AppliedEdit`]: add/remove node,
+//! retarget edge, resize tile). A candidate's places and times are pure
+//! functions of each node's immutable domain index (affine) or of a
+//! fixed table, so an edit never reschedules surviving nodes. Each
+//! candidate is a [`DenseState`] plus its bounds, causality and
+//! issue-width counters (issue cells hashed by PE id and cycle) and a
+//! list of stale leaves, recosted lazily when the candidate is legal.
+//! Its evaluation stays bit-identical to
 //! [`crate::search::evaluate_candidate`] run cold on the edited graph.
-//! An edit that invalidates a candidate (a table length change, a new
-//! node without a domain index) drops its cached state; the next
-//! evaluation rebuilds it cold and counts the rebuild, which is how the
-//! session layer above classifies warm vs cold re-tunes.
+//! Nodes placed off the grid (only affine or table candidates that
+//! overrun it, which the bounds rule makes illegal) are counted but kept
+//! out of the dense state; while any exist, the exact violation total
+//! comes from [`crate::legality::check`], and once edits bring the
+//! candidate back on grid the dense state is already exact. An edit
+//! that invalidates a candidate (a table length change, a new node
+//! without a domain index) drops its cached state; the next evaluation
+//! rebuilds it cold and counts the rebuild, which is how the session
+//! layer above classifies warm vs cold re-tunes.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::ops::Bound;
 
 use crate::cost::{CostReport, CostTree, Evaluator, NodeCost, OffchipTotals};
 use crate::dataflow::{DataflowGraph, Node, NodeId};
@@ -76,6 +88,257 @@ use crate::search::{CandidateEval, FigureOfMerit};
 /// last production cycle yields the same peak; this one also never
 /// overflows `+ 1`.
 const FAR_FUTURE: i64 = i64::MAX / 4;
+
+fn hist_add<K: Ord>(h: &mut BTreeMap<K, u32>, k: K) {
+    *h.entry(k).or_insert(0) += 1;
+}
+
+fn hist_remove<K: Ord + std::fmt::Debug>(h: &mut BTreeMap<K, u32>, k: K) {
+    match h.get_mut(&k) {
+        Some(c) if *c > 1 => *c -= 1,
+        Some(_) => {
+            h.remove(&k);
+        }
+        None => panic!("histogram underflow at key {k:?}"),
+    }
+}
+
+/// Everything both incremental engines derive from a (place, time)
+/// pair, with the primitive repairs they share. PEs are indexed by
+/// interned id (`y·cols + x`); nodes placed off the grid sit in no
+/// per-PE list.
+struct DenseState {
+    place: Vec<(i64, i64)>,
+    time: Vec<i64>,
+    /// max(own time, consumer times); outputs are *not* extended here —
+    /// the sweep substitutes [`FAR_FUTURE`] for them.
+    last_use: Vec<i64>,
+    cols: i64,
+    rows: i64,
+    /// Node ids per PE, ascending, indexed by interned PE id. Empty
+    /// lists mean unoccupied (they stay allocated for reuse).
+    pe_nodes: Vec<Vec<NodeId>>,
+    /// Number of non-empty `pe_nodes` lists — the report's PEs-used.
+    occupied: usize,
+    /// Peak live bits per PE; `None` = unoccupied.
+    peaks: Vec<Option<u64>>,
+    /// Multiset of per-PE peaks; max key = global peak.
+    peak_hist: BTreeMap<u64, u32>,
+    /// PEs whose peak exceeds the machine's tile capacity.
+    over_capacity: u64,
+    /// Multiset of node times; max key + 1 = makespan.
+    time_hist: BTreeMap<i64, u32>,
+    tree: CostTree,
+    /// PEs whose lifetimes may have moved, awaiting
+    /// [`Self::refresh_peaks`].
+    dirty_pes: Vec<usize>,
+    /// Live-interval endpoints for one PE's peak re-sweep.
+    events: Vec<(i64, i64)>,
+}
+
+impl DenseState {
+    /// Derive every aggregate from scratch. Leaves start at zero;
+    /// callers cost them ([`Self::cost_all`]) or mark them stale.
+    fn build(
+        graph: &DataflowGraph,
+        machine: &MachineConfig,
+        place: Vec<(i64, i64)>,
+        time: Vec<i64>,
+    ) -> DenseState {
+        let n = place.len();
+        let mut last_use = time.clone();
+        for (id, node) in graph.nodes.iter().enumerate() {
+            for &d in &node.deps {
+                if time[id] > last_use[d as usize] {
+                    last_use[d as usize] = time[id];
+                }
+            }
+        }
+        let pe_count = machine.cols as usize * machine.rows as usize;
+        let mut this = DenseState {
+            place,
+            time,
+            last_use,
+            cols: i64::from(machine.cols),
+            rows: i64::from(machine.rows),
+            pe_nodes: vec![Vec::new(); pe_count],
+            occupied: 0,
+            peaks: vec![None; pe_count],
+            peak_hist: BTreeMap::new(),
+            over_capacity: 0,
+            time_hist: BTreeMap::new(),
+            tree: CostTree::new(),
+            dirty_pes: Vec::new(),
+            events: Vec::new(),
+        };
+        this.tree.reset(n);
+        for id in 0..n {
+            hist_add(&mut this.time_hist, this.time[id]);
+            if let Some(pe) = this.pe_of(id) {
+                // Ids arrive ascending: pushing keeps every list sorted.
+                this.pe_nodes[pe].push(id as NodeId);
+            }
+        }
+        this.dirty_pes = (0..pe_count)
+            .filter(|&pe| !this.pe_nodes[pe].is_empty())
+            .collect();
+        this.occupied = this.dirty_pes.len();
+        this.refresh_peaks(graph, machine.tile_bits, |_, _| {});
+        this
+    }
+
+    /// Interned id of a place; `None` off grid.
+    #[inline]
+    fn pe_id(&self, (x, y): (i64, i64)) -> Option<usize> {
+        (x >= 0 && y >= 0 && x < self.cols && y < self.rows).then(|| (y * self.cols + x) as usize)
+    }
+
+    /// Interned id of node `id`'s PE; `None` off grid.
+    #[inline]
+    fn pe_of(&self, id: usize) -> Option<usize> {
+        self.pe_id(self.place[id])
+    }
+
+    /// Cost every leaf with `cost(id, place)` and refresh the tree.
+    fn cost_all(&mut self, mut cost: impl FnMut(usize, &[(i64, i64)]) -> NodeCost) {
+        for id in 0..self.place.len() {
+            let c = cost(id, &self.place);
+            self.tree.set_leaf(id, c);
+        }
+        self.tree.refresh();
+    }
+
+    /// Insert `id` into PE `pe`'s ascending list.
+    fn pe_insert(&mut self, pe: usize, id: NodeId) {
+        let list = &mut self.pe_nodes[pe];
+        if list.is_empty() {
+            self.occupied += 1;
+        }
+        let pos = list.binary_search(&id).expect_err("node already on PE");
+        list.insert(pos, id);
+    }
+
+    /// Remove `id` from PE `pe`'s list; returns the position it held.
+    fn pe_remove(&mut self, pe: usize, id: NodeId) -> usize {
+        let list = &mut self.pe_nodes[pe];
+        let pos = list.binary_search(&id).expect("node on its PE");
+        list.remove(pos);
+        if list.is_empty() {
+            self.occupied -= 1;
+        }
+        pos
+    }
+
+    /// Set node `id`'s time, keeping the time histogram in step.
+    /// Returns the replaced time.
+    fn set_time(&mut self, id: usize, t: i64) -> i64 {
+        let old = std::mem::replace(&mut self.time[id], t);
+        hist_remove(&mut self.time_hist, old);
+        hist_add(&mut self.time_hist, t);
+        old
+    }
+
+    /// Recompute node `id`'s last use from its consumer list. Returns
+    /// the replaced value when it changed.
+    fn refresh_last_use(&mut self, id: usize, consumers: &[NodeId]) -> Option<i64> {
+        let mut lu = self.time[id];
+        for &c in consumers {
+            lu = lu.max(self.time[c as usize]);
+        }
+        (lu != self.last_use[id]).then(|| std::mem::replace(&mut self.last_use[id], lu))
+    }
+
+    /// Replace PE `pe`'s peak, keeping the histogram and the
+    /// over-capacity count in step.
+    fn set_peak(&mut self, pe: usize, v: Option<u64>, tile_bits: u64) {
+        if let Some(o) = self.peaks[pe] {
+            hist_remove(&mut self.peak_hist, o);
+            if o > tile_bits {
+                self.over_capacity -= 1;
+            }
+        }
+        if let Some(x) = v {
+            hist_add(&mut self.peak_hist, x);
+            if x > tile_bits {
+                self.over_capacity += 1;
+            }
+        }
+        self.peaks[pe] = v;
+    }
+
+    /// Re-sweep the peak live bits of every PE in `dirty_pes`, once
+    /// each, then clear the marks. `changed` sees each PE whose peak
+    /// moved, with the peak it replaced.
+    fn refresh_peaks(
+        &mut self,
+        graph: &DataflowGraph,
+        tile_bits: u64,
+        mut changed: impl FnMut(usize, Option<u64>),
+    ) {
+        let width = u64::from(graph.width_bits);
+        let mut pes = std::mem::take(&mut self.dirty_pes);
+        pes.sort_unstable();
+        pes.dedup();
+        for &pe in &pes {
+            let list = &self.pe_nodes[pe];
+            let new = if list.is_empty() {
+                None
+            } else {
+                self.events.clear();
+                for &j in list {
+                    let ju = j as usize;
+                    let last = if graph.nodes[ju].output {
+                        FAR_FUTURE
+                    } else {
+                        self.last_use[ju]
+                    };
+                    self.events.push((self.time[ju], 1));
+                    self.events.push((last + 1, -1));
+                }
+                self.events.sort_unstable();
+                let mut live = 0i64;
+                let mut peak = 0i64;
+                for &(_, d) in &self.events {
+                    live += d;
+                    peak = peak.max(live);
+                }
+                Some(peak as u64 * width)
+            };
+            let old = self.peaks[pe];
+            if old != new {
+                self.set_peak(pe, new, tile_bits);
+                changed(pe, old);
+            }
+        }
+        pes.clear();
+        self.dirty_pes = pes;
+    }
+
+    /// Re-count the over-capacity PEs for a new tile capacity: peaks are
+    /// capacity-independent.
+    fn recount_over_capacity(&mut self, tile_bits: u64) {
+        self.over_capacity = self
+            .peak_hist
+            .range((Bound::Excluded(tile_bits), Bound::Unbounded))
+            .map(|(_, &c)| u64::from(c))
+            .sum();
+    }
+
+    /// The cost report — bit-identical to `Evaluator::evaluate` on
+    /// (place, time) when every place is on grid.
+    fn report(&self, ev: &Evaluator<'_>, off: &OffchipTotals) -> CostReport {
+        let cycles = self.time_hist.keys().next_back().map_or(0, |&t| t + 1);
+        let peak = self.peak_hist.keys().next_back().copied().unwrap_or(0);
+        ev.assemble(self.tree.total(), off, cycles, peak, self.occupied)
+    }
+
+    fn mapping(&self) -> ResolvedMapping {
+        ResolvedMapping {
+            place: self.place.clone(),
+            time: self.time.clone(),
+        }
+    }
+}
 
 /// One recorded mutation of [`DeltaEvaluator`] state, with the value
 /// it replaced — replaying a move's entries in reverse restores the
@@ -111,28 +374,10 @@ struct MoveScratch {
     occ: Vec<Occ>,
     occ_epoch: Vec<u64>,
     epoch: u64,
-    /// Interned ids of PEs whose lifetimes may have moved.
-    dirty_pes: Vec<usize>,
-    /// Live-interval endpoints for one PE's peak re-sweep.
-    events: Vec<(i64, i64)>,
     /// Distinct remote consumer PEs for one node's re-cost.
     pes: Vec<(i64, i64)>,
     /// Multicast destinations (what-if path only).
     dests: Vec<(u32, u32)>,
-}
-
-fn hist_add<K: Ord>(h: &mut BTreeMap<K, u32>, k: K) {
-    *h.entry(k).or_insert(0) += 1;
-}
-
-fn hist_remove<K: Ord + std::fmt::Debug>(h: &mut BTreeMap<K, u32>, k: K) {
-    match h.get_mut(&k) {
-        Some(c) if *c > 1 => *c -= 1,
-        Some(_) => {
-            h.remove(&k);
-        }
-        None => panic!("histogram underflow at key {k:?}"),
-    }
 }
 
 /// Incremental evaluator over single-node placement moves.
@@ -147,34 +392,11 @@ pub struct DeltaEvaluator<'e, 'a> {
     ev: &'e Evaluator<'a>,
     graph: &'a DataflowGraph,
     machine: &'a MachineConfig,
-    /// Shared flat-evaluation state: CSR consumer lists and the
-    /// placement-independent cost prefixes (replaces the old
-    /// `Vec<Vec<NodeId>>` consumer index).
+    /// Shared flat-evaluation state: CSR consumer lists, the
+    /// placement-independent cost prefixes and the off-chip totals.
     ctx: EvalContext,
-    place: Vec<(i64, i64)>,
-    time: Vec<i64>,
-    /// max(own time, consumer times); outputs are *not* extended here —
-    /// the sweep substitutes [`FAR_FUTURE`] for them.
-    last_use: Vec<i64>,
-    /// Grid columns, for interning places to dense PE ids
-    /// (`pe = y·cols + x`; every held place is on-grid by invariant).
-    cols: i64,
-    /// Node ids per PE, ascending, indexed by interned PE id. Empty
-    /// lists mean unoccupied (they stay allocated for reuse).
-    pe_nodes: Vec<Vec<NodeId>>,
-    /// Number of non-empty `pe_nodes` lists — the report's PEs-used.
-    occupied: usize,
-    /// Multiset of node times; max key + 1 = makespan.
-    time_hist: BTreeMap<i64, u32>,
-    /// Peak live bits per PE, indexed by interned PE id; `None` =
-    /// unoccupied.
-    peaks: Vec<Option<u64>>,
-    /// Multiset of per-PE peaks; max key = global peak.
-    peak_hist: BTreeMap<u64, u32>,
-    /// PEs whose peak exceeds `machine.tile_bits`.
-    over_capacity: u64,
-    tree: CostTree,
-    off: OffchipTotals,
+    /// The derived state; every held place is on grid.
+    st: DenseState,
     in_heap: Vec<bool>,
     /// Mutations of the most recent [`Self::apply_move`], for
     /// [`Self::undo`]. Cleared at the start of each move.
@@ -201,79 +423,20 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         }
         let rm = crate::search::retime(graph, init_places, machine);
         let ctx = EvalContext::new(ev);
-
-        let mut last_use = rm.time.clone();
-        for (id, n) in graph.nodes.iter().enumerate() {
-            for &d in &n.deps {
-                if rm.time[id] > last_use[d as usize] {
-                    last_use[d as usize] = rm.time[id];
-                }
-            }
-        }
-
-        let cols = i64::from(machine.cols);
-        let pe_count = machine.cols as usize * machine.rows as usize;
-        let mut pe_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); pe_count];
-        for (id, &pe) in rm.place.iter().enumerate() {
-            pe_nodes[(pe.1 * cols + pe.0) as usize].push(id as NodeId);
-        }
-        let occupied = pe_nodes.iter().filter(|l| !l.is_empty()).count();
-
-        let mut time_hist = BTreeMap::new();
-        for &t in &rm.time {
-            hist_add(&mut time_hist, t);
-        }
-
-        let mut pes = Vec::new();
-        let mut dests = Vec::new();
-        let leaves: Vec<NodeCost> = (0..graph.len())
-            .map(|id| ctx.node_cost(ev, id, &rm.place, &mut pes, &mut dests))
-            .collect();
-        let tree = CostTree::build(&leaves);
-        let off = ctx.offchip();
-        let n = graph.len();
-
-        let mut this = DeltaEvaluator {
+        let mut st = DenseState::build(graph, machine, rm.place, rm.time);
+        let mut scratch = MoveScratch::default();
+        st.cost_all(|id, place| ctx.node_cost(ev, id, place, &mut scratch.pes, &mut scratch.dests));
+        DeltaEvaluator {
             ev,
             graph,
             machine,
             ctx,
-            place: rm.place,
-            time: rm.time,
-            last_use,
-            cols,
-            pe_nodes,
-            occupied,
-            time_hist,
-            peaks: vec![None; pe_count],
-            peak_hist: BTreeMap::new(),
-            over_capacity: 0,
-            tree,
-            off,
-            in_heap: vec![false; n],
+            st,
+            in_heap: vec![false; graph.len()],
             journal: Vec::new(),
-            scratch: MoveScratch {
-                pes,
-                dests,
-                ..MoveScratch::default()
-            },
+            scratch,
             paranoid: true,
-        };
-        let mut events = std::mem::take(&mut this.scratch.events);
-        for pe in 0..pe_count {
-            if !this.pe_nodes[pe].is_empty() {
-                this.refresh_peak(pe, &mut events);
-            }
         }
-        this.scratch.events = events;
-        this.journal.clear();
-        this
-    }
-
-    /// Interned id of an on-grid place.
-    #[inline]
-    fn pe_id(&self, pe: (i64, i64)) -> usize {
-        (pe.1 * self.cols + pe.0) as usize
     }
 
     /// Disable (or re-enable) the per-move full-parity assertion that
@@ -286,31 +449,25 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
 
     /// Current place of a node.
     pub fn place_of(&self, node: usize) -> (i64, i64) {
-        self.place[node]
+        self.st.place[node]
     }
 
     /// The current mapping (places + list-scheduled times).
     pub fn mapping(&self) -> ResolvedMapping {
-        ResolvedMapping {
-            place: self.place.clone(),
-            time: self.time.clone(),
-        }
+        self.st.mapping()
     }
 
     /// Number of PEs whose peak live bits exceed the machine's tile
     /// capacity — the same count [`crate::legality::check`] reports as
     /// `StorageExceeded` violations.
     pub fn storage_violations(&self) -> u64 {
-        self.over_capacity
+        self.st.over_capacity
     }
 
     /// The current cost report, bit-identical to running the full
     /// evaluator on [`Self::mapping`].
     pub fn report(&self) -> CostReport {
-        let cycles = self.time_hist.keys().next_back().map_or(0, |&t| t + 1);
-        let peak = self.peak_hist.keys().next_back().copied().unwrap_or(0);
-        self.ev
-            .assemble(self.tree.total(), &self.off, cycles, peak, self.occupied)
+        self.st.report(self.ev, &self.ctx.offchip())
     }
 
     /// Score of the current mapping under `fom` (lower is better) —
@@ -318,6 +475,11 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
     /// the evaluator's active cost backend.
     pub fn score(&self, fom: FigureOfMerit) -> f64 {
         self.ev.score(fom, &self.report())
+    }
+
+    /// Interned id of a held (on-grid) place.
+    fn pid(&self, pe: (i64, i64)) -> usize {
+        self.st.pe_id(pe).expect("held places are on grid")
     }
 
     /// Move `node` to `new_pe` (must be on-grid) and repair all cached
@@ -328,73 +490,54 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
     /// the placement.
     pub fn apply_move(&mut self, node: usize, new_pe: (i64, i64)) {
         assert!(node < self.graph.len(), "node out of range");
-        assert!(
-            self.machine.contains(new_pe.0, new_pe.1),
-            "move target {new_pe:?} off-grid"
-        );
+        let Some(new_pid) = self.st.pe_id(new_pe) else {
+            panic!("move target {new_pe:?} off-grid");
+        };
         self.journal.clear();
-        let old_pe = self.place[node];
+        let old_pe = self.st.place[node];
         if old_pe == new_pe {
             return;
         }
         let id = node as NodeId;
-        let old_pid = self.pe_id(old_pe);
-        let new_pid = self.pe_id(new_pe);
+        let old_pid = self.pid(old_pe);
 
         // Check the per-move buffers out of self so the borrow checker
         // sees them as locals, independent of the cached state.
         let mut s = std::mem::take(&mut self.scratch);
-        let pe_count = self.pe_nodes.len();
+        let pe_count = self.st.pe_nodes.len();
         if s.occ.len() < pe_count {
             s.occ.resize_with(pe_count, Occ::default);
             s.occ_epoch.resize(pe_count, 0);
         }
         s.epoch += 1;
         s.heap.clear();
-        s.dirty_pes.clear();
 
         // Membership: the PE→nodes index drives occupancy, peaks, and
         // the pes_used count.
-        {
-            let t_old = self.time[node];
-            let list = &mut self.pe_nodes[old_pid];
-            let pos = list.binary_search(&id).expect("node on its PE");
-            list.remove(pos);
-            // Later source-PE nodes may now schedule earlier — but only
-            // those at or past the vacated slot: a node's gap scan never
-            // consults slots above its own scheduled time.
-            for &j in &list[pos..] {
-                if self.time[j as usize] >= t_old {
-                    self.in_heap[j as usize] = true;
-                    s.heap.push(Reverse(j));
-                }
+        let t_old = self.st.time[node];
+        let pos = self.st.pe_remove(old_pid, id);
+        self.journal.push(UndoEntry::RemovedFromPe {
+            pe: old_pid as u32,
+            id,
+        });
+        // Later source-PE nodes may now schedule earlier — but only
+        // those at or past the vacated slot: a node's gap scan never
+        // consults slots above its own scheduled time.
+        for &j in &self.st.pe_nodes[old_pid][pos..] {
+            if self.st.time[j as usize] >= t_old {
+                self.in_heap[j as usize] = true;
+                s.heap.push(Reverse(j));
             }
-            if list.is_empty() {
-                self.occupied -= 1;
-            }
-            self.journal.push(UndoEntry::RemovedFromPe {
-                pe: old_pid as u32,
-                id,
-            });
         }
-        {
-            let list = &mut self.pe_nodes[new_pid];
-            if list.is_empty() {
-                self.occupied += 1;
-            }
-            let pos = list
-                .binary_search(&id)
-                .expect_err("node cannot already be on target PE");
-            list.insert(pos, id);
-            self.journal.push(UndoEntry::InsertedToPe {
-                pe: new_pid as u32,
-                id,
-            });
-            // Later destination-PE nodes are dirtied when the moved
-            // node pops (first, by id order) and its new slot is known
-            // — seeding them all here would over-approximate.
-        }
-        self.place[node] = new_pe;
+        // Later destination-PE nodes are dirtied when the moved node
+        // pops (first, by id order) and its new slot is known — seeding
+        // them all here would over-approximate.
+        self.st.pe_insert(new_pid, id);
+        self.journal.push(UndoEntry::InsertedToPe {
+            pe: new_pid as u32,
+            id,
+        });
+        self.st.place[node] = new_pe;
         self.journal.push(UndoEntry::Place { node, pe: old_pe });
 
         // The moved node reschedules; its consumers' wire-delay gaps
@@ -421,12 +564,12 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         // finalized times as a cursor walks up its membership list,
         // instead of re-collecting and re-sorting per pop. The cursors
         // live in a dense per-PE array validated by epoch stamp.
-        s.dirty_pes.push(old_pid);
-        s.dirty_pes.push(new_pid);
+        self.st.dirty_pes.push(old_pid);
+        self.st.dirty_pes.push(new_pid);
         while let Some(Reverse(i)) = s.heap.pop() {
             let iu = i as usize;
             self.in_heap[iu] = false;
-            let pid = self.pe_id(self.place[iu]);
+            let pid = self.pid(self.st.place[iu]);
             let t_new = {
                 let o = &mut s.occ[pid];
                 if s.occ_epoch[pid] != s.epoch {
@@ -434,9 +577,9 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
                     o.cursor = 0;
                     o.slots.clear();
                 }
-                let list = &self.pe_nodes[pid];
+                let list = &self.st.pe_nodes[pid];
                 while o.cursor < list.len() && list[o.cursor] < i {
-                    let t = self.time[list[o.cursor] as usize];
+                    let t = self.st.time[list[o.cursor] as usize];
                     let p = o.slots.partition_point(|&x| x < t);
                     debug_assert!(
                         o.slots.get(p) != Some(&t),
@@ -447,15 +590,15 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
                 }
                 self.schedule_time_in(iu, &o.slots)
             };
-            let t_old = self.time[iu];
+            let t_old = self.st.time[iu];
             if iu == node {
                 // The moved node's slot is new on this PE: later nodes
                 // at or past it must reschedule around it, even when
                 // the moved node's own time did not change.
-                let list = &self.pe_nodes[pid];
+                let list = &self.st.pe_nodes[pid];
                 let pos = list.partition_point(|&j| j <= i);
                 for &j in &list[pos..] {
-                    if self.time[j as usize] >= t_new && !self.in_heap[j as usize] {
+                    if self.st.time[j as usize] >= t_new && !self.in_heap[j as usize] {
                         self.in_heap[j as usize] = true;
                         s.heap.push(Reverse(j));
                     }
@@ -464,21 +607,19 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
             if t_new == t_old {
                 continue;
             }
-            hist_remove(&mut self.time_hist, t_old);
-            hist_add(&mut self.time_hist, t_new);
-            self.time[iu] = t_new;
+            self.st.set_time(iu, t_new);
             self.journal.push(UndoEntry::Time { id: i, t: t_old });
-            s.dirty_pes.push(pid);
+            self.st.dirty_pes.push(pid);
 
             // Ripple: same-PE successors at or past the perturbed slot
             // range (slots above a node's own time are never consulted
             // by its gap scan), and consumers.
             let lo = t_old.min(t_new);
             {
-                let list = &self.pe_nodes[pid];
+                let list = &self.st.pe_nodes[pid];
                 let pos = list.partition_point(|&j| j <= i);
                 for &j in &list[pos..] {
-                    if self.time[j as usize] >= lo && !self.in_heap[j as usize] {
+                    if self.st.time[j as usize] >= lo && !self.in_heap[j as usize] {
                         self.in_heap[j as usize] = true;
                         s.heap.push(Reverse(j));
                     }
@@ -493,59 +634,44 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
 
             // A time change moves this value's production and possibly
             // the last use of its operands.
-            let lu_self = self.recompute_last_use(iu);
-            if lu_self != self.last_use[iu] {
-                self.journal.push(UndoEntry::LastUse {
-                    id: i,
-                    t: self.last_use[iu],
-                });
-                self.last_use[iu] = lu_self;
+            if let Some(t) = self.st.refresh_last_use(iu, self.ctx.consumers(iu)) {
+                self.journal.push(UndoEntry::LastUse { id: i, t });
             }
             for k in 0..self.graph.nodes[iu].deps.len() {
                 let du = self.graph.nodes[iu].deps[k] as usize;
-                let lu = self.recompute_last_use(du);
-                if lu != self.last_use[du] {
+                if let Some(t) = self.st.refresh_last_use(du, self.ctx.consumers(du)) {
                     self.journal.push(UndoEntry::LastUse {
                         id: du as NodeId,
-                        t: self.last_use[du],
+                        t,
                     });
-                    self.last_use[du] = lu;
-                    s.dirty_pes.push(self.pe_id(self.place[du]));
+                    let dpid = self.pid(self.st.place[du]);
+                    self.st.dirty_pes.push(dpid);
                 }
             }
         }
 
         // Re-cost the moved node (its reads and the messages it sends)
         // and its producers (the messages they send to it).
-        self.journal.push(UndoEntry::Leaf {
-            id,
-            cost: self.tree.leaf(node),
-        });
-        let c = self
-            .ctx
-            .node_cost(self.ev, node, &self.place, &mut s.pes, &mut s.dests);
-        self.tree.update(node, c);
-        for k in 0..self.graph.nodes[node].deps.len() {
-            let du = self.graph.nodes[node].deps[k] as usize;
+        let graph = self.graph;
+        let producers = graph.nodes[node].deps.iter().map(|&d| d as usize);
+        for du in std::iter::once(node).chain(producers) {
             self.journal.push(UndoEntry::Leaf {
                 id: du as NodeId,
-                cost: self.tree.leaf(du),
+                cost: self.st.tree.leaf(du),
             });
             let c = self
                 .ctx
-                .node_cost(self.ev, du, &self.place, &mut s.pes, &mut s.dests);
-            self.tree.update(du, c);
+                .node_cost(self.ev, du, &self.st.place, &mut s.pes, &mut s.dests);
+            self.st.tree.update(du, c);
         }
+        self.scratch = s;
 
         // Re-sweep peaks only where lifetimes could have moved.
-        s.dirty_pes.sort_unstable();
-        s.dirty_pes.dedup();
-        let mut events = std::mem::take(&mut s.events);
-        for k in 0..s.dirty_pes.len() {
-            self.refresh_peak(s.dirty_pes[k], &mut events);
-        }
-        s.events = events;
-        self.scratch = s;
+        let journal = &mut self.journal;
+        self.st
+            .refresh_peaks(self.graph, self.machine.tile_bits, |pe, v| {
+                journal.push(UndoEntry::Peak { pe: pe as u32, v });
+            });
 
         if cfg!(debug_assertions) && self.paranoid {
             self.assert_parity();
@@ -559,49 +685,19 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
     pub fn undo(&mut self) {
         while let Some(e) = self.journal.pop() {
             match e {
-                UndoEntry::Place { node, pe } => self.place[node] = pe,
-                UndoEntry::RemovedFromPe { pe, id } => {
-                    let list = &mut self.pe_nodes[pe as usize];
-                    if list.is_empty() {
-                        self.occupied += 1;
-                    }
-                    let pos = list
-                        .binary_search(&id)
-                        .expect_err("undo: node already back on PE");
-                    list.insert(pos, id);
-                }
+                UndoEntry::Place { node, pe } => self.st.place[node] = pe,
+                UndoEntry::RemovedFromPe { pe, id } => self.st.pe_insert(pe as usize, id),
                 UndoEntry::InsertedToPe { pe, id } => {
-                    let list = &mut self.pe_nodes[pe as usize];
-                    let pos = list.binary_search(&id).expect("undo: node on PE");
-                    list.remove(pos);
-                    if list.is_empty() {
-                        self.occupied -= 1;
-                    }
+                    self.st.pe_remove(pe as usize, id);
                 }
                 UndoEntry::Time { id, t } => {
-                    let iu = id as usize;
-                    hist_remove(&mut self.time_hist, self.time[iu]);
-                    hist_add(&mut self.time_hist, t);
-                    self.time[iu] = t;
+                    self.st.set_time(id as usize, t);
                 }
-                UndoEntry::LastUse { id, t } => self.last_use[id as usize] = t,
+                UndoEntry::LastUse { id, t } => self.st.last_use[id as usize] = t,
                 UndoEntry::Peak { pe, v } => {
-                    let cap = self.machine.tile_bits;
-                    if let Some(c) = self.peaks[pe as usize].take() {
-                        hist_remove(&mut self.peak_hist, c);
-                        if c > cap {
-                            self.over_capacity -= 1;
-                        }
-                    }
-                    if let Some(x) = v {
-                        hist_add(&mut self.peak_hist, x);
-                        if x > cap {
-                            self.over_capacity += 1;
-                        }
-                        self.peaks[pe as usize] = Some(x);
-                    }
+                    self.st.set_peak(pe as usize, v, self.machine.tile_bits);
                 }
-                UndoEntry::Leaf { id, cost } => self.tree.update(id as usize, cost),
+                UndoEntry::Leaf { id, cost } => self.st.tree.update(id as usize, cost),
             }
         }
         if cfg!(debug_assertions) && self.paranoid {
@@ -619,13 +715,13 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
     /// exactly the set of slots the scan would step over.
     fn schedule_time_in(&self, i: usize, slots: &[i64]) -> i64 {
         let n = &self.graph.nodes[i];
-        let pe = self.place[i];
+        let pe = self.st.place[i];
         let pe_u = (pe.0 as u32, pe.1 as u32);
         let mut ready = 0i64;
         for &d in &n.deps {
-            let prod = self.place[d as usize];
+            let prod = self.st.place[d as usize];
             let prod_u = (prod.0 as u32, prod.1 as u32);
-            ready = ready.max(self.time[d as usize] + self.machine.required_gap(prod_u, pe_u));
+            ready = ready.max(self.st.time[d as usize] + self.machine.required_gap(prod_u, pe_u));
         }
         let lo = slots.partition_point(|&s| s < ready);
         let m = slots.len() - lo;
@@ -641,76 +737,15 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         ready + left as i64
     }
 
-    fn recompute_last_use(&self, id: usize) -> i64 {
-        let mut lu = self.time[id];
-        for &c in self.ctx.consumers(id) {
-            lu = lu.max(self.time[c as usize]);
-        }
-        lu
-    }
-
-    /// Re-sweep one PE's peak live bits (into the reusable `events`
-    /// buffer) and fold the change into the peak histogram and the
-    /// over-capacity count.
-    fn refresh_peak(&mut self, pe: usize, events: &mut Vec<(i64, i64)>) {
-        let list = &self.pe_nodes[pe];
-        let new = if list.is_empty() {
-            None
-        } else {
-            let width = u64::from(self.graph.width_bits);
-            events.clear();
-            for &j in list {
-                let ju = j as usize;
-                let last = if self.graph.nodes[ju].output {
-                    FAR_FUTURE
-                } else {
-                    self.last_use[ju]
-                };
-                events.push((self.time[ju], 1));
-                events.push((last + 1, -1));
-            }
-            events.sort_unstable();
-            let mut live = 0i64;
-            let mut peak = 0i64;
-            for &(_, d) in events.iter() {
-                live += d;
-                peak = peak.max(live);
-            }
-            Some(peak as u64 * width)
-        };
-        let old = self.peaks[pe];
-        if old == new {
-            return;
-        }
-        self.journal.push(UndoEntry::Peak {
-            pe: pe as u32,
-            v: old,
-        });
-        let cap = self.machine.tile_bits;
-        if let Some(o) = old {
-            hist_remove(&mut self.peak_hist, o);
-            if o > cap {
-                self.over_capacity -= 1;
-            }
-        }
-        if let Some(v) = new {
-            hist_add(&mut self.peak_hist, v);
-            if v > cap {
-                self.over_capacity += 1;
-            }
-        }
-        self.peaks[pe] = new;
-    }
-
     /// Assert bit-exact agreement with the full pipeline: times against
     /// [`crate::search::retime`], the report against
     /// `Evaluator::evaluate`, and the storage-violation count against
     /// [`crate::legality::tile_peaks`]. O(|V|+|E|) — runs automatically
     /// after every move in debug builds (see [`Self::with_paranoia`]).
     pub fn assert_parity(&self) {
-        let rm = crate::search::retime(self.graph, &self.place, self.machine);
+        let rm = crate::search::retime(self.graph, &self.st.place, self.machine);
         assert_eq!(
-            rm.time, self.time,
+            rm.time, self.st.time,
             "incremental retime departed from the full list schedule"
         );
         let full = self.ev.evaluate(&rm);
@@ -719,7 +754,7 @@ impl<'e, 'a> DeltaEvaluator<'e, 'a> {
         let peaks = crate::legality::tile_peaks(self.graph, &rm, rm.makespan());
         assert_eq!(
             crate::legality::storage_violation_count(&peaks, self.machine.tile_bits),
-            self.over_capacity,
+            self.st.over_capacity,
             "incremental storage-violation count != full legality sweep"
         );
     }
@@ -748,44 +783,22 @@ fn edge_violation(
     u64::from(time[n] - time[d] < required)
 }
 
-/// Cached evaluation state of one resolvable candidate: its static
-/// places/times plus every aggregate [`crate::legality::check`] and
-/// `Evaluator::evaluate` would derive, maintained incrementally.
+/// Cached evaluation state of one resolvable candidate: the shared
+/// [`DenseState`] over its static places/times, plus the legality
+/// counters the full checker derives and the leaves awaiting recost.
 struct CandState {
-    place: Vec<(i64, i64)>,
-    time: Vec<i64>,
-    /// Nodes mapped off the grid.
+    st: DenseState,
+    /// Nodes mapped off the grid; they sit in no per-PE list.
     oob: u64,
     /// Nodes scheduled before cycle 0.
     neg: u64,
     /// Causality-violating edges (per dep slot, duplicates counted),
-    /// under the [`edge_violation`] convention. Only added to the
-    /// violation total when `oob == 0`, exactly like the full checker.
+    /// under the [`edge_violation`] convention.
     causality: u64,
-    /// Elements per (PE, cycle) — including off-grid places, exactly
-    /// like the full checker's issue phase.
-    issue: HashMap<((i64, i64), i64), u32>,
+    /// Elements per (PE id, cycle) of on-grid nodes.
+    issue: HashMap<(u32, i64), u32>,
     /// Issue cells over the machine's width.
     issue_over: u64,
-    /// max(own time, consumer times); outputs are *not* extended here —
-    /// the sweep substitutes [`FAR_FUTURE`] for them.
-    last_use: Vec<i64>,
-    /// Node ids per PE, ascending. No empty lists are kept.
-    pe_nodes: HashMap<(i64, i64), Vec<NodeId>>,
-    /// Peak live bits per occupied PE.
-    peaks: HashMap<(i64, i64), u64>,
-    /// Multiset of per-PE peaks; max key = global peak.
-    peak_hist: BTreeMap<u64, u32>,
-    /// PEs whose peak exceeds the machine's tile capacity.
-    storage_over: u64,
-    /// Multiset of node times; max key + 1 = makespan.
-    time_hist: BTreeMap<i64, u32>,
-    leaves: Vec<NodeCost>,
-    tree: CostTree,
-    /// The tree's leaf capacity (`CostTree` keeps it private); a leaf
-    /// append that stays within it can use the zero-padded slots, one
-    /// that outgrows it forces a rebuild.
-    tree_cap: usize,
     /// Leaves whose [`NodeCost`] is stale. Flushed lazily at
     /// evaluation time, and only for legal candidates — costing an
     /// off-grid placement is meaningless.
@@ -795,218 +808,132 @@ struct CandState {
 impl CandState {
     /// Build from scratch for a resolved candidate — the same work the
     /// cold path does, cached.
-    fn build(ev: &Evaluator<'_>, rm: &ResolvedMapping, consumers: &[Vec<NodeId>]) -> CandState {
+    fn build(
+        ev: &Evaluator<'_>,
+        rm: ResolvedMapping,
+        consumers: &[Vec<NodeId>],
+        pes: &mut Vec<(i64, i64)>,
+    ) -> CandState {
         let graph = ev.graph();
         let machine = ev.machine();
         let n = graph.len();
-
-        let mut oob = 0u64;
-        let mut neg = 0u64;
-        for id in 0..n {
-            if !machine.contains(rm.place[id].0, rm.place[id].1) {
-                oob += 1;
-            }
-            if rm.time[id] < 0 {
-                neg += 1;
-            }
-        }
-        let mut causality = 0u64;
-        for (id, node) in graph.nodes.iter().enumerate() {
-            for &d in &node.deps {
-                causality += edge_violation(machine, &rm.place, &rm.time, d as usize, id);
-            }
-        }
-        let mut issue: HashMap<((i64, i64), i64), u32> = HashMap::new();
-        for id in 0..n {
-            *issue.entry((rm.place[id], rm.time[id])).or_insert(0) += 1;
-        }
-        let issue_over = issue.values().filter(|&&c| c > machine.issue_width).count() as u64;
-
-        let mut last_use = rm.time.clone();
-        for (id, node) in graph.nodes.iter().enumerate() {
-            for &d in &node.deps {
-                if rm.time[id] > last_use[d as usize] {
-                    last_use[d as usize] = rm.time[id];
-                }
-            }
-        }
-        let mut pe_nodes: HashMap<(i64, i64), Vec<NodeId>> = HashMap::new();
-        for (id, &pe) in rm.place.iter().enumerate() {
-            pe_nodes.entry(pe).or_default().push(id as NodeId);
-        }
-        let mut time_hist = BTreeMap::new();
-        for &t in &rm.time {
-            hist_add(&mut time_hist, t);
-        }
-
         let mut this = CandState {
-            place: rm.place.clone(),
-            time: rm.time.clone(),
-            oob,
-            neg,
-            causality,
-            issue,
-            issue_over,
-            last_use,
-            pe_nodes,
-            peaks: HashMap::new(),
-            peak_hist: BTreeMap::new(),
-            storage_over: 0,
-            time_hist,
-            leaves: Vec::new(),
-            tree: CostTree::build(&[]),
-            tree_cap: 1,
+            st: DenseState::build(graph, machine, rm.place, rm.time),
+            oob: 0,
+            neg: 0,
+            causality: 0,
+            issue: HashMap::new(),
+            issue_over: 0,
             dirty: Vec::new(),
         };
-        let pes: Vec<(i64, i64)> = this.pe_nodes.keys().copied().collect();
-        for pe in pes {
-            this.refresh_peak(graph, machine, pe);
+        for (id, node) in graph.nodes.iter().enumerate() {
+            this.count_node(machine, id, node, true);
         }
-        if this.total() == 0 {
-            this.leaves = (0..n)
-                .map(|id| ev.node_cost(id, &this.place, consumers))
-                .collect();
+        if this.oob == 0 && this.dense_total() == 0 {
+            this.st
+                .cost_all(|id, place| ev.node_cost_in(id, place, &consumers[id], pes));
         } else {
             // Illegal now: defer costing until (if ever) edits make the
             // candidate legal — off-grid places cast to garbage u32
             // coordinates inside `node_cost`.
-            this.leaves = vec![NodeCost::default(); n];
             this.dirty = (0..n).collect();
         }
-        this.tree = CostTree::build(&this.leaves);
-        this.tree_cap = n.next_power_of_two().max(1);
         this
     }
 
-    /// Exact violation total, mirroring the full checker's phases:
-    /// causality is only meaningful (and only counted) with every place
-    /// on-grid.
-    fn total(&self) -> u64 {
-        let causality = if self.oob == 0 { self.causality } else { 0 };
-        self.oob + self.neg + causality + self.issue_over + self.storage_over
-    }
-
-    fn issue_add(&mut self, width: u32, key: ((i64, i64), i64)) {
+    /// Add (`add`) or retract node `id`'s share of the bounds, causality
+    /// and issue counters, using its current entries in the place/time
+    /// arrays. Returns its PE id if on grid.
+    fn count_node(
+        &mut self,
+        machine: &MachineConfig,
+        id: usize,
+        node: &Node,
+        add: bool,
+    ) -> Option<usize> {
+        let bump = |c: &mut u64, v: u64| {
+            if add {
+                *c += v;
+            } else {
+                *c -= v;
+            }
+        };
+        if self.st.time[id] < 0 {
+            bump(&mut self.neg, 1);
+        }
+        for &d in &node.deps {
+            let v = edge_violation(machine, &self.st.place, &self.st.time, d as usize, id);
+            bump(&mut self.causality, v);
+        }
+        let Some(pe) = self.st.pe_of(id) else {
+            bump(&mut self.oob, 1);
+            return None;
+        };
+        let key = (pe as u32, self.st.time[id]);
+        let over = u64::from(machine.issue_width) + 1;
         let c = self.issue.entry(key).or_insert(0);
-        *c += 1;
-        if u64::from(*c) == u64::from(width) + 1 {
-            self.issue_over += 1;
+        if add {
+            *c += 1;
+            if u64::from(*c) == over {
+                self.issue_over += 1;
+            }
+        } else {
+            if u64::from(*c) == over {
+                self.issue_over -= 1;
+            }
+            *c -= 1;
+            if *c == 0 {
+                self.issue.remove(&key);
+            }
         }
+        Some(pe)
     }
 
-    fn issue_remove(&mut self, width: u32, key: ((i64, i64), i64)) {
-        let c = self.issue.get_mut(&key).expect("issue histogram underflow");
-        if u64::from(*c) == u64::from(width) + 1 {
-            self.issue_over -= 1;
-        }
-        *c -= 1;
-        if *c == 0 {
-            self.issue.remove(&key);
-        }
+    /// The violation total of an on-grid candidate, mirroring the full
+    /// checker's phases.
+    fn dense_total(&self) -> u64 {
+        self.neg + self.causality + self.issue_over + self.st.over_capacity
     }
 
-    fn recompute_last_use(time: &[i64], consumers: &[Vec<NodeId>], id: usize) -> i64 {
-        let mut lu = time[id];
-        for &c in &consumers[id] {
-            lu = lu.max(time[c as usize]);
-        }
-        lu
-    }
-
-    /// Re-sweep one PE's peak live bits and fold the change into the
-    /// peak histogram and the over-capacity count. Same sweep as
-    /// [`DeltaEvaluator::refresh_peak`], minus the undo journal.
-    fn refresh_peak(&mut self, graph: &DataflowGraph, machine: &MachineConfig, pe: (i64, i64)) {
-        let new = self.pe_nodes.get(&pe).map(|list| {
-            let width = u64::from(graph.width_bits);
-            let mut events: Vec<(i64, i64)> = Vec::with_capacity(list.len() * 2);
-            for &j in list {
-                let ju = j as usize;
-                let last = if graph.nodes[ju].output {
-                    FAR_FUTURE
-                } else {
-                    self.last_use[ju]
-                };
-                events.push((self.time[ju], 1));
-                events.push((last + 1, -1));
-            }
-            events.sort_unstable();
-            let mut live = 0i64;
-            let mut peak = 0i64;
-            for (_, d) in events {
-                live += d;
-                peak = peak.max(live);
-            }
-            peak as u64 * width
-        });
-        let old = self.peaks.get(&pe).copied();
-        if old == new {
-            return;
-        }
-        let cap = machine.tile_bits;
-        if let Some(o) = old {
-            hist_remove(&mut self.peak_hist, o);
-            if o > cap {
-                self.storage_over -= 1;
-            }
-            self.peaks.remove(&pe);
-        }
-        if let Some(v) = new {
-            hist_add(&mut self.peak_hist, v);
-            if v > cap {
-                self.storage_over += 1;
-            }
-            self.peaks.insert(pe, v);
+    /// Exact violation total. Off-grid nodes are illegal by the bounds
+    /// rule and kept out of the dense state, so while any exist the
+    /// total comes from the full checker, as in the flat engine.
+    fn total(&self, graph: &DataflowGraph, machine: &MachineConfig) -> u64 {
+        if self.oob > 0 {
+            crate::legality::check(graph, &self.st.mapping(), machine).total_violations
+        } else {
+            self.dense_total()
         }
     }
 
     /// A node was appended with the given (statically resolved) place
-    /// and time.
-    fn repair_add(&mut self, ev: &Evaluator<'_>, id: usize, pe: (i64, i64), t: i64) {
+    /// and time. `consumers` is the *post-edit* shared consumer index.
+    fn repair_add(
+        &mut self,
+        ev: &Evaluator<'_>,
+        consumers: &[Vec<NodeId>],
+        id: usize,
+        pe: (i64, i64),
+        t: i64,
+    ) {
         let graph = ev.graph();
         let machine = ev.machine();
-        self.place.push(pe);
-        self.time.push(t);
-        if !machine.contains(pe.0, pe.1) {
-            self.oob += 1;
-        }
-        if t < 0 {
-            self.neg += 1;
-        }
-        for &d in &graph.nodes[id].deps {
-            self.causality += edge_violation(machine, &self.place, &self.time, d as usize, id);
-        }
-        self.issue_add(machine.issue_width, (pe, t));
-        hist_add(&mut self.time_hist, t);
+        let node = &graph.nodes[id];
+        self.st.place.push(pe);
+        self.st.time.push(t);
         // No consumers yet: the new node's value dies at birth.
-        self.last_use.push(t);
-        let mut dirty_pes = vec![pe];
-        for &d in &graph.nodes[id].deps {
-            let du = d as usize;
-            if t > self.last_use[du] {
-                self.last_use[du] = t;
-                dirty_pes.push(self.place[du]);
-            }
-            // The producer now sends one more def→use message.
-            self.dirty.push(du);
+        self.st.last_use.push(t);
+        hist_add(&mut self.st.time_hist, t);
+        if let Some(pid) = self.count_node(machine, id, node, true) {
+            // Largest id: inserting keeps the list ascending.
+            self.st.pe_insert(pid, id as NodeId);
+            self.st.dirty_pes.push(pid);
         }
-        // Largest id: appending keeps the list ascending.
-        self.pe_nodes.entry(pe).or_default().push(id as NodeId);
-        self.leaves.push(NodeCost::default());
+        self.st.tree.push_leaf(NodeCost::default());
         self.dirty.push(id);
-        let want = self.leaves.len().next_power_of_two().max(1);
-        if want != self.tree_cap {
-            // Stale dirty leaves are fine: the flush recomputes their
-            // root paths, and every other internal node sums unchanged
-            // descendants.
-            self.tree = CostTree::build(&self.leaves);
-            self.tree_cap = want;
-        }
-        dirty_pes.sort_unstable();
-        dirty_pes.dedup();
-        for pe in dirty_pes {
-            self.refresh_peak(graph, machine, pe);
-        }
+        // Each producer now sends one more def→use message.
+        self.touch_producers(consumers, &node.deps);
+        self.st.refresh_peaks(graph, machine.tile_bits, |_, _| {});
     }
 
     /// Consumerless node `r` was removed; ids above it shifted down.
@@ -1020,67 +947,36 @@ impl CandState {
     ) {
         let graph = ev.graph();
         let machine = ev.machine();
-        let pe = self.place[r];
-        let t = self.time[r];
-        if !machine.contains(pe.0, pe.1) {
-            self.oob -= 1;
-        }
-        if t < 0 {
-            self.neg -= 1;
-        }
-        // Subtract with the pre-compaction arrays: the removed node's
+        // Retract with the pre-compaction arrays: the removed node's
         // entries are still present and its deps all sit below it.
-        for &d in &removed.deps {
-            self.causality -= edge_violation(machine, &self.place, &self.time, d as usize, r);
+        if let Some(pid) = self.count_node(machine, r, removed, false) {
+            self.st.pe_remove(pid, r as NodeId);
+            self.st.dirty_pes.push(pid);
         }
-        self.issue_remove(machine.issue_width, (pe, t));
-        hist_remove(&mut self.time_hist, t);
-        {
-            let list = self.pe_nodes.get_mut(&pe).expect("node on its PE");
-            let pos = list.binary_search(&(r as NodeId)).expect("node on its PE");
-            list.remove(pos);
-            if list.is_empty() {
-                self.pe_nodes.remove(&pe);
-            }
-        }
-        // Uniform decrement keeps every list sorted.
-        for list in self.pe_nodes.values_mut() {
-            for id in list.iter_mut() {
-                if *id > r as NodeId {
-                    *id -= 1;
+        hist_remove(&mut self.st.time_hist, self.st.time[r]);
+        if r + 1 < self.st.place.len() {
+            // Uniform decrement keeps every list sorted; the ids above
+            // `r` are each list's tail.
+            for list in &mut self.st.pe_nodes {
+                let from = list.partition_point(|&j| j < r as NodeId);
+                for j in &mut list[from..] {
+                    *j -= 1;
                 }
             }
         }
-        self.place.remove(r);
-        self.time.remove(r);
-        self.last_use.remove(r);
-        self.leaves.remove(r);
+        self.st.place.remove(r);
+        self.st.time.remove(r);
+        self.st.last_use.remove(r);
+        self.st.tree.remove_leaf(r);
         self.dirty.retain(|&i| i != r);
         for i in self.dirty.iter_mut() {
             if *i > r {
                 *i -= 1;
             }
         }
-        let mut dirty_pes = vec![pe];
-        for &d in &removed.deps {
-            let du = d as usize;
-            let lu = Self::recompute_last_use(&self.time, consumers, du);
-            if lu != self.last_use[du] {
-                self.last_use[du] = lu;
-                dirty_pes.push(self.place[du]);
-            }
-            // One fewer def→use message from each former producer.
-            self.dirty.push(du);
-        }
-        // Compaction shifted every leaf slot: rebuild the fixed-shape
-        // tree at the new capacity.
-        self.tree = CostTree::build(&self.leaves);
-        self.tree_cap = self.leaves.len().next_power_of_two().max(1);
-        dirty_pes.sort_unstable();
-        dirty_pes.dedup();
-        for pe in dirty_pes {
-            self.refresh_peak(graph, machine, pe);
-        }
+        // One fewer def→use message from each former producer.
+        self.touch_producers(consumers, &removed.deps);
+        self.st.refresh_peaks(graph, machine.tile_bits, |_, _| {});
     }
 
     /// Dep slot of `node` moved from `old_dep` to `new_dep`. Places and
@@ -1099,34 +995,27 @@ impl CandState {
         if old_dep == new_dep {
             return;
         }
-        let graph = ev.graph();
         let machine = ev.machine();
-        self.causality -= edge_violation(machine, &self.place, &self.time, old_dep, node);
-        self.causality += edge_violation(machine, &self.place, &self.time, new_dep, node);
-        let mut dirty_pes = Vec::new();
-        for du in [old_dep, new_dep] {
-            let lu = Self::recompute_last_use(&self.time, consumers, du);
-            if lu != self.last_use[du] {
-                self.last_use[du] = lu;
-                dirty_pes.push(self.place[du]);
+        let (place, time) = (&self.st.place, &self.st.time);
+        self.causality -= edge_violation(machine, place, time, old_dep, node);
+        self.causality += edge_violation(machine, place, time, new_dep, node);
+        self.touch_producers(consumers, &[old_dep as NodeId, new_dep as NodeId]);
+        self.st
+            .refresh_peaks(ev.graph(), machine.tile_bits, |_, _| {});
+    }
+
+    /// Producers whose consumer lists changed: mark their leaves stale
+    /// and, where their last use moved, their PEs for a peak re-sweep.
+    fn touch_producers(&mut self, consumers: &[Vec<NodeId>], producers: &[NodeId]) {
+        for &d in producers {
+            let du = d as usize;
+            if self.st.refresh_last_use(du, &consumers[du]).is_some() {
+                if let Some(pid) = self.st.pe_of(du) {
+                    self.st.dirty_pes.push(pid);
+                }
             }
             self.dirty.push(du);
         }
-        dirty_pes.sort_unstable();
-        dirty_pes.dedup();
-        for pe in dirty_pes {
-            self.refresh_peak(graph, machine, pe);
-        }
-    }
-
-    /// The tile capacity changed: peaks and energies are capacity-
-    /// independent, only the over-capacity count moves.
-    fn repair_resize(&mut self, machine: &MachineConfig) {
-        self.storage_over = self
-            .peaks
-            .values()
-            .filter(|&&p| p > machine.tile_bits)
-            .count() as u64;
     }
 
     /// Recost stale leaves, reusing the pool's def→use scratch buffer.
@@ -1138,9 +1027,8 @@ impl CandState {
         self.dirty.sort_unstable();
         self.dirty.dedup();
         for idx in std::mem::take(&mut self.dirty) {
-            let c = ev.node_cost_in(idx, &self.place, &consumers[idx], pes);
-            self.leaves[idx] = c;
-            self.tree.update(idx, c);
+            let c = ev.node_cost_in(idx, &self.st.place, &consumers[idx], pes);
+            self.st.tree.update(idx, c);
         }
     }
 }
@@ -1202,12 +1090,13 @@ impl DeltaCandidates {
         }
         let marked_outputs = graph.nodes.iter().filter(|n| n.output).count() as u64;
         let nonsink = consumers.iter().filter(|c| !c.is_empty()).count() as u64;
+        let mut pes_scratch = Vec::new();
         let states = mappings
             .iter()
             .map(|m| {
                 m.resolve(graph, machine)
                     .ok()
-                    .map(|rm| CandState::build(ev, &rm, &consumers))
+                    .map(|rm| CandState::build(ev, rm, &consumers, &mut pes_scratch))
             })
             .collect();
         DeltaCandidates {
@@ -1220,7 +1109,7 @@ impl DeltaCandidates {
             graph_len: graph.len(),
             states,
             rebuilds: 0,
-            pes_scratch: Vec::new(),
+            pes_scratch,
         }
     }
 
@@ -1350,7 +1239,7 @@ impl DeltaCandidates {
                     let n = &graph.nodes[idu];
                     let pe = am.place.eval(&n.index, ev.machine().cols);
                     let t = am.time.eval(&n.index);
-                    state.repair_add(ev, idu, pe, t);
+                    state.repair_add(ev, &self.consumers, idu, pe, t);
                 }
                 AppliedEdit::RemoveNode { id, node } => {
                     state.repair_remove(ev, &self.consumers, *id as usize, node);
@@ -1370,7 +1259,7 @@ impl DeltaCandidates {
                     );
                 }
                 AppliedEdit::ResizeTile { .. } => {
-                    state.repair_resize(ev.machine());
+                    state.st.recount_over_capacity(ev.machine().tile_bits);
                 }
             }
         }
@@ -1388,17 +1277,20 @@ impl DeltaCandidates {
             let rm = self.mappings[i]
                 .resolve(ev.graph(), ev.machine())
                 .expect("resolvable candidate must resolve");
-            self.states[i] = Some(CandState::build(ev, &rm, &self.consumers));
+            self.states[i] = Some(CandState::build(
+                ev,
+                rm,
+                &self.consumers,
+                &mut self.pes_scratch,
+            ));
             self.rebuilds += 1;
         }
         let state = self.states[i].as_mut().expect("state just ensured");
-        let total = state.total();
+        let total = state.total(ev.graph(), ev.machine());
         if total > 0 {
             return CandidateEval::Illegal(total);
         }
         state.flush(ev, &self.consumers, &mut self.pes_scratch);
-        let cycles = state.time_hist.keys().next_back().map_or(0, |&t| t + 1);
-        let peak = state.peak_hist.keys().next_back().copied().unwrap_or(0);
         let writeback = if ev.writeback_on() {
             if self.marked_outputs > 0 {
                 self.marked_outputs
@@ -1409,13 +1301,10 @@ impl DeltaCandidates {
             0
         };
         let off = ev.offchip_from_count(self.dram_refs.len() as u64 + writeback);
-        let report = ev.assemble(state.tree.total(), &off, cycles, peak, state.pe_nodes.len());
+        let report = state.st.report(ev, &off);
         let score = ev.score(fom, &report);
         CandidateEval::Legal {
-            resolved: ResolvedMapping {
-                place: state.place.clone(),
-                time: state.time.clone(),
-            },
+            resolved: state.st.mapping(),
             report,
             score,
         }
@@ -1760,6 +1649,85 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn off_grid_tail_round_trips_through_on_grid() {
+        // Place ⌊i/2⌋ row-major, time 4i: nodes 0..12 fill a 3×2 grid
+        // two to a PE, the tail falls off it. Odd nodes form a chain and
+        // even nodes are sinks, so every on-grid PE peaks at one value —
+        // until the off-grid tail reads node 0 and stretches its
+        // lifetime over node 1's. Removing the tail must bring PE 0's
+        // peak back down.
+        let mut g = DataflowGraph::new("tail", 32);
+        for i in 0..16u32 {
+            let deps = match i {
+                12.. => vec![0],
+                3.. if i % 2 == 1 => vec![i - 2],
+                _ => vec![],
+            };
+            let expr = if deps.is_empty() {
+                CExpr::konst(Value::real(1.0))
+            } else {
+                CExpr::dep(0)
+            };
+            g.add_node(expr, deps, vec![i64::from(i)]);
+        }
+        let mut m = MachineConfig::n5(3, 2);
+        let affine = Mapping::Affine(AffineMap {
+            place: PlaceExpr::Linear {
+                id: IdxExpr::i().div(2),
+                order: LinearOrder::RowMajor,
+            },
+            time: IdxExpr::i() * 4,
+        });
+        let mut dc = {
+            let ev = Evaluator::new(&g, &m);
+            DeltaCandidates::new(&ev, vec![affine.clone()])
+        };
+        let mut step = |dc: &mut DeltaCandidates, g: &mut DataflowGraph, edit: GraphEdit| {
+            let receipt = apply_edit(g, &mut m, &edit).expect("valid edit");
+            let ev = Evaluator::new(g, &m);
+            dc.apply(&ev, &receipt);
+            let warm = dc.evaluate(0, &ev, FigureOfMerit::Edp);
+            let cold = evaluate_candidate(
+                &ev,
+                g,
+                &m,
+                &MappingCandidate::new("pairs", affine.clone()),
+                FigureOfMerit::Edp,
+            );
+            let ctx = format!("{} nodes", g.len());
+            assert_same_eval(&warm, &cold, &ctx);
+            assert_eq!(
+                matches!(warm, CandidateEval::Legal { .. }),
+                g.len() <= 12,
+                "legal exactly when on grid: {ctx}"
+            );
+            receipt
+        };
+        // The last node never has consumers: peel the tail off, past
+        // the point where the candidate comes back on grid.
+        let mut removed = Vec::new();
+        while g.len() > 10 {
+            let id = g.len() as u32 - 1;
+            match step(&mut dc, &mut g, GraphEdit::RemoveNode { id }) {
+                AppliedEdit::RemoveNode { node, .. } => removed.push(node),
+                other => panic!("unexpected receipt {other:?}"),
+            }
+        }
+        // And grow it back off the grid.
+        for node in removed.into_iter().rev() {
+            let edit = GraphEdit::AddNode {
+                expr: node.expr,
+                deps: node.deps,
+                index: node.index,
+                output: node.output,
+            };
+            step(&mut dc, &mut g, edit);
+        }
+        assert_eq!(g.len(), 16);
+        assert_eq!(dc.rebuilds(), 0, "every step repaired warm");
     }
 
     #[test]

@@ -39,6 +39,13 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
+    /// The largest grid, in PEs, a served request may carry: 65,536
+    /// (256 × 256), 64× the largest grid the repository's tests,
+    /// benches and examples use (32 × 32). Evaluation allocates per-PE
+    /// arrays sized by the grid, so a server refuses larger machines
+    /// instead of attempting an unbounded allocation.
+    pub const MAX_PES: u64 = 1 << 16;
+
     /// A machine using a `cols × rows` grid of the given technology's
     /// die. Defaults: single-issue PEs, 128 Kbit tiles, 64-bit links.
     pub fn new(tech: Technology, cols: u32, rows: u32) -> Self {
@@ -65,9 +72,9 @@ impl MachineConfig {
         Self::n5(p, 1)
     }
 
-    /// Total PEs.
-    pub fn pe_count(&self) -> u32 {
-        self.cols * self.rows
+    /// Total PEs, computed without overflow.
+    pub fn pe_count(&self) -> u64 {
+        u64::from(self.cols) * u64::from(self.rows)
     }
 
     /// Whether a (possibly unresolved) coordinate pair is on the grid.

@@ -630,56 +630,6 @@ pub fn anneal_with(
     (best, best_report)
 }
 
-/// Deterministic greedy local refinement on the incremental engine.
-///
-/// Scans nodes in id order; for each, tries the four neighbor PEs and
-/// keeps the first move that strictly improves (violations, score)
-/// lexicographically. Repeats whole passes until one finds nothing or
-/// `max_rounds` passes have run. No randomness — useful as a cheap
-/// polish after [`anneal`] or as a reproducible baseline refiner.
-pub fn hill_climb(
-    evaluator: &Evaluator<'_>,
-    graph: &DataflowGraph,
-    machine: &MachineConfig,
-    init: &ResolvedMapping,
-    fom: FigureOfMerit,
-    max_rounds: u32,
-) -> (ResolvedMapping, CostReport) {
-    let mut engine = DeltaEvaluator::new(evaluator, &init.place);
-    if graph.is_empty() || machine.pe_count() == 1 {
-        return (engine.mapping(), engine.report());
-    }
-    let mut cur_score = engine.score(fom);
-    let mut cur_viol = engine.storage_violations();
-    const DIRS: [(i64, i64); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
-    for _ in 0..max_rounds {
-        let mut improved = false;
-        for node in 0..graph.len() {
-            let old = engine.place_of(node);
-            for (dx, dy) in DIRS {
-                let cand = (old.0 + dx, old.1 + dy);
-                if !machine.contains(cand.0, cand.1) {
-                    continue;
-                }
-                engine.apply_move(node, cand);
-                let viol = engine.storage_violations();
-                let score = engine.score(fom);
-                if viol < cur_viol || (viol == cur_viol && score < cur_score) {
-                    cur_viol = viol;
-                    cur_score = score;
-                    improved = true;
-                    break; // keep the move; on to the next node
-                }
-                engine.apply_move(node, old);
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    (engine.mapping(), engine.report())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -936,26 +886,5 @@ mod tests {
         assert!(check(&g, &init, &m).is_legal());
         let (rm, _) = anneal(&ev, &g, &m, &init, FigureOfMerit::Energy, 300, 5);
         assert!(check(&g, &rm, &m).is_legal());
-    }
-
-    #[test]
-    fn hill_climb_improves_and_is_deterministic() {
-        let g = chain(16);
-        let m = MachineConfig::n5(4, 4);
-        let ev = Evaluator::new(&g, &m);
-        let places: Vec<(i64, i64)> = (0..16)
-            .map(|i| if i % 2 == 0 { (0, 0) } else { (3, 3) })
-            .collect();
-        let init = retime(&g, &places, &m);
-        let init_score = FigureOfMerit::Energy.score(&ev.evaluate(&init));
-        let (rm_a, rep_a) = hill_climb(&ev, &g, &m, &init, FigureOfMerit::Energy, 8);
-        let (rm_b, rep_b) = hill_climb(&ev, &g, &m, &init, FigureOfMerit::Energy, 8);
-        assert_eq!(rm_a, rm_b);
-        assert_eq!(rep_a, rep_b);
-        assert!(
-            rep_a.energy().raw() < init_score,
-            "climb should improve a bad start"
-        );
-        assert!(check(&g, &rm_a, &m).is_legal());
     }
 }

@@ -42,6 +42,7 @@ use parking_lot::{Condvar, Mutex};
 use fm_autotune::{Budget, CacheStatus, CancelToken, Tuner, TuningCache};
 use fm_core::cost::Evaluator;
 use fm_core::legality::check;
+use fm_core::machine::MachineConfig;
 use fm_core::search::MappingCandidate;
 use fm_costmodel::CostModelKind;
 use fm_grid::{SimConfig, Simulator};
@@ -293,6 +294,31 @@ fn parse_cost_model(name: Option<&str>) -> Result<CostModelKind, FailReply> {
             error: format!("unknown cost model {n:?} (expected analytic, roofline, or spatial)"),
         }),
     }
+}
+
+/// Refuse a work request whose machine grid exceeds
+/// [`MachineConfig::MAX_PES`] (kind `"limit"`). Evaluation allocates
+/// per-PE arrays sized by the grid, so this runs at admission, before
+/// any worker touches the request.
+fn grid_refusal(work: &Request) -> Option<FailReply> {
+    let machine = match work {
+        Request::Tune(r) => &r.machine,
+        Request::TuneShard(r) => &r.machine,
+        Request::Evaluate(r) => &r.machine,
+        Request::Simulate(r) => &r.machine,
+        Request::SessionOpen(r) => &r.machine,
+        _ => return None,
+    };
+    let pes = machine.pe_count();
+    (pes > MachineConfig::MAX_PES).then(|| FailReply {
+        kind: "limit".to_string(),
+        error: format!(
+            "machine grid {}x{} has {pes} PEs, above the limit of {}",
+            machine.cols,
+            machine.rows,
+            MachineConfig::MAX_PES
+        ),
+    })
 }
 
 /// Apply a `ShardJoin`/`ShardLeave` to the fleet roster. Handled
@@ -772,6 +798,14 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             | Request::SessionClose(_)) => {
                 let endpoint = shared.metrics.endpoint(work.endpoint());
                 endpoint.received.fetch_add(1, Ordering::Relaxed);
+                if let Some(refusal) = grid_refusal(&work) {
+                    endpoint.failed.fetch_add(1, Ordering::Relaxed);
+                    let resp = Response::Failed(refusal);
+                    if write_reply(&mut stream, corr, &resp, was_binary).is_err() {
+                        return;
+                    }
+                    continue;
+                }
                 if shared.is_shutdown() {
                     let _ = write_response(&mut stream, &Response::ShuttingDown);
                     return;
@@ -982,6 +1016,13 @@ fn pipelined_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             | Request::SessionClose(_)) => {
                 let endpoint = shared.metrics.endpoint(work.endpoint());
                 endpoint.received.fetch_add(1, Ordering::Relaxed);
+                if let Some(refusal) = grid_refusal(&work) {
+                    endpoint.failed.fetch_add(1, Ordering::Relaxed);
+                    if tx.send((corr, Response::Failed(refusal))).is_err() {
+                        break;
+                    }
+                    continue;
+                }
                 if shared.is_shutdown() {
                     let _ = tx.send((corr, Response::ShuttingDown));
                     draining = true;

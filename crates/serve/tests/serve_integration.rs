@@ -9,11 +9,15 @@ use fm_core::affine::IdxExpr;
 use fm_core::cost::Evaluator;
 use fm_core::dataflow::{CExpr, DataflowGraph};
 use fm_core::machine::MachineConfig;
+use fm_core::mapping::ResolvedMapping;
 use fm_core::mapping::{AffineMap, Mapping, PlaceExpr};
 use fm_core::search::{FigureOfMerit, MappingCandidate};
 use fm_core::value::Value;
 use fm_serve::client::{Client, ClientError};
-use fm_serve::protocol::{EvaluateRequest, TuneRequest, WireCandidate};
+use fm_serve::protocol::{
+    EvaluateRequest, SessionOpenRequest, SimulateRequest, TuneRequest, TuneShardRequest,
+    WireCandidate,
+};
 use fm_serve::server::{Server, ServerConfig};
 
 fn wide(n: usize) -> DataflowGraph {
@@ -340,6 +344,92 @@ fn unknown_cost_model_is_a_typed_refusal_on_both_framings() {
     }
     let stats = handle.shutdown_and_join();
     assert_eq!(stats.tune.failed, 2, "one typed failure per framing");
+}
+
+#[test]
+fn oversized_grid_is_a_typed_refusal_on_both_framings() {
+    // 60000 × 60000 PEs: evaluating even one node would allocate a
+    // multi-gigabyte per-PE buffer, so admission must refuse it.
+    let graph = wide(1);
+    let machine = MachineConfig::n5(60_000, 60_000);
+    assert!(machine.pe_count() > MachineConfig::MAX_PES);
+    let mapping = ResolvedMapping {
+        place: vec![(0, 0)],
+        time: vec![0],
+    };
+    let handle = start(ServerConfig::default());
+
+    let json = Client::connect_json(handle.local_addr()).unwrap();
+    let binary = Client::connect(handle.local_addr()).unwrap();
+    assert!(binary.is_binary(), "new server must negotiate binary");
+    for mut client in [json, binary] {
+        let refusals = [
+            client
+                .tune(tune_request(&graph, &machine, 2, None))
+                .map(drop),
+            client
+                .tune_shard(TuneShardRequest {
+                    graph: graph.clone(),
+                    machine: machine.clone(),
+                    fom: FigureOfMerit::Time,
+                    candidates: affine_candidates(2, 2),
+                    start_index: 0,
+                    epoch: 1,
+                    deadline_ms: None,
+                    stream_every: None,
+                    cost_model: None,
+                })
+                .map(drop),
+            client
+                .evaluate(EvaluateRequest {
+                    graph: graph.clone(),
+                    machine: machine.clone(),
+                    mapping: mapping.clone(),
+                    deadline_ms: None,
+                })
+                .map(drop),
+            client
+                .simulate(SimulateRequest {
+                    graph: graph.clone(),
+                    machine: machine.clone(),
+                    mapping: mapping.clone(),
+                    inputs: vec![],
+                    contention: false,
+                    deadline_ms: None,
+                })
+                .map(drop),
+            client
+                .session_open(SessionOpenRequest {
+                    graph: graph.clone(),
+                    machine: machine.clone(),
+                    fom: FigureOfMerit::Time,
+                    candidates: affine_candidates(2, 2),
+                    max_candidates: None,
+                    convergence_window: None,
+                    cost_model: None,
+                })
+                .map(drop),
+        ];
+        for r in refusals {
+            match r {
+                Err(ClientError::Failed(f)) => {
+                    assert_eq!(f.kind, "limit");
+                    assert!(
+                        f.error.contains("60000x60000"),
+                        "names the grid: {}",
+                        f.error
+                    );
+                }
+                other => panic!("expected a limit refusal, got {other:?}"),
+            }
+        }
+        // The refusal is a reply: the same server answers Stats next.
+        let stats = client.stats().expect("stats after refusal");
+        assert_eq!(stats.queue_depth, 0);
+    }
+    let stats = handle.shutdown_and_join();
+    assert_eq!(stats.tune.failed, 2, "one refusal per framing");
+    assert_eq!(stats.session_open.failed, 2);
 }
 
 #[test]
