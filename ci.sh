@@ -123,12 +123,12 @@ rm -rf "$e22_dir"
 echo "== servebench-smoke: served-mapping benchmark correctness gates =="
 # servebench is a package of its own with its own Cargo.lock, so the
 # workspace build, clippy and tests above never compile it against the
-# current crates. Build it, then run the two workloads that drive
-# fm-core::delta for a few seconds each: the binary exits non-zero if a
-# session winner differs from a cold replay or a served tune from an
-# in-process tune.
+# current crates. Build it, then run every workload for a few seconds:
+# all benchmark traffic crosses the server's connection loop, and the
+# binary exits non-zero if a session winner differs from a cold replay
+# or a served tune from an in-process tune.
 cargo build --release --offline -q --manifest-path servebench/Cargo.toml
-for workload in session-stream anneal-refine; do
+for workload in search-wide large-graph anneal-refine session-stream; do
     cargo run --release --offline -q --manifest-path servebench/Cargo.toml -- \
         --workload "$workload" --seed 7 --seconds 3 --trace 0 >/dev/null
 done

@@ -285,7 +285,7 @@ fn main() -> ExitCode {
     );
     println!(
         "fm-serve: wire — {} binary connections, {} binary / {} json requests, \
-         pipeline in-flight peak {}, {} dedup batches serving {} extra waiters",
+         in-flight peak {}, {} dedup batches serving {} extra waiters",
         stats.binary_connections,
         stats.binary_requests,
         stats.json_requests,

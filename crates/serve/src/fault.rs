@@ -14,7 +14,7 @@
 //! length prefix so it can truncate or corrupt *inside* a frame) and a
 //! plain byte pump on the request direction (propagating the client's
 //! EOF upstream, which is how a coordinator abandoning an attempt
-//! reaches the shard's disconnect watchdog).
+//! reaches the shard's connection reader, which cancels the work).
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::protocol::{decode_response_any, Response, DEFAULT_MAX_FRAME};
+use crate::protocol::{decode_response_any, read_frame_until, Response, DEFAULT_MAX_FRAME};
 
 /// What the proxy does to one proxied connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,55 +267,6 @@ fn nap(ms: u64, stop: &AtomicBool) -> bool {
     !stop.load(Ordering::Acquire)
 }
 
-/// Read one frame from `stream`, polling `stop` between read-timeout
-/// slices. `None` on EOF, error, or stop.
-fn read_frame_stoppable(stream: &mut TcpStream, stop: &AtomicBool) -> Option<Vec<u8>> {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-    let mut header = [0u8; 4];
-    let mut have = 0usize;
-    let mut payload: Option<(Vec<u8>, usize)> = None;
-    loop {
-        if stop.load(Ordering::Acquire) {
-            return None;
-        }
-        let (buf, filled): (&mut [u8], &mut usize) = match &mut payload {
-            None => (&mut header[..], &mut have),
-            Some((b, f)) => (b.as_mut_slice(), f),
-        };
-        match stream.read(&mut buf[*filled..]) {
-            Ok(0) => return None,
-            Ok(n) => {
-                *filled += n;
-                if *filled == buf.len() {
-                    match payload.take() {
-                        None => {
-                            let len = u32::from_be_bytes(header) as usize;
-                            if len > DEFAULT_MAX_FRAME {
-                                return None;
-                            }
-                            if len == 0 {
-                                return Some(Vec::new());
-                            }
-                            payload = Some((vec![0u8; len], 0));
-                        }
-                        Some((buf, _)) => return Some(buf),
-                    }
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return None,
-        }
-    }
-}
-
 /// Flip the last ASCII digit in `payload` (keeps JSON shape valid so
 /// the corruption can only be caught by the reply checksum). Last, not
 /// first: in a serialized shard reply the first digit is the epoch
@@ -347,7 +298,7 @@ fn proxy_connection(
 
     // Request direction: dumb byte pump, client → upstream. EOF (or a
     // severed client) propagates as a write-shutdown so the shard's
-    // disconnect watchdog sees the peer leave.
+    // connection reader sees the peer leave.
     let pump = {
         let mut c = match client.try_clone() {
             Ok(c) => c,
@@ -394,7 +345,11 @@ fn proxy_connection(
     // and frame-indexed, so stream-aware faults land on a *specific*
     // frame of a multi-part reply.
     let mut frame: u32 = 0;
-    while let Some(mut payload) = read_frame_stoppable(&mut upstream, stop) {
+    let _ = upstream.set_read_timeout(Some(Duration::from_millis(25)));
+    let mut stopped = || stop.load(Ordering::Acquire);
+    while let Ok(mut payload) =
+        read_frame_until(&mut upstream, DEFAULT_MAX_FRAME, Some(&mut stopped))
+    {
         let len = payload.len() as u32;
         let forward = |client: &mut TcpStream, payload: &[u8]| {
             client

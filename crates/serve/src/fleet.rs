@@ -86,9 +86,9 @@ use crate::fault::mix64;
 use crate::membership::{Breaker, Member, Membership};
 use crate::metrics::{breaker_state, FleetMetrics};
 use crate::protocol::{
-    decode_response_any, encode_request, encode_request_binary, Request, Response, ShardBest,
-    ShardReplyFlaw, TuneReply, TuneRequest, TuneShardBody, TuneShardPartBody, TuneShardRequest,
-    WireCandidate, DEFAULT_MAX_FRAME,
+    decode_response_any, encode_request, encode_request_binary, read_frame_until, Request,
+    Response, ShardBest, ShardReplyFlaw, TuneReply, TuneRequest, TuneShardBody, TuneShardPartBody,
+    TuneShardRequest, WireCandidate, WireError, DEFAULT_MAX_FRAME,
 };
 
 /// Fleet-coordinator tunables. Defaults are production-ish; tests
@@ -389,19 +389,6 @@ enum AttemptEnd {
     /// The range resolved elsewhere or the tune was cancelled — exit
     /// without blaming the shard.
     Abandoned,
-}
-
-/// How an attempt's watched read ended.
-enum WatchRead {
-    /// A whole frame arrived.
-    Frame(Vec<u8>),
-    /// The range resolved elsewhere or the tune was cancelled — exit
-    /// without blaming the shard.
-    Abandoned,
-    /// The frame deadline passed (the shard is slow: blame it).
-    TimedOut,
-    /// Transport failure or EOF mid-frame.
-    Failed,
 }
 
 impl Fleet {
@@ -1281,9 +1268,21 @@ fn run_attempt(
         fleet.report_failure(member);
         AttemptEnd::Failed { saved }
     };
+    // Short read-timeout slices let the reader watch the frame
+    // deadline, the tune-wide cancel token, the range's `done` latch,
+    // and the member's `departed` flag (a `ShardLeave` mid-attempt
+    // abandons the read so the coordinator can re-dispatch the suffix
+    // at once).
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
+    let abandoned = || {
+        range.done.load(Ordering::Acquire)
+            || cancel.is_cancelled()
+            || m.departed.load(Ordering::Acquire)
+    };
     loop {
-        match watch_read(&mut stream, until, cancel, &range.done, &m.departed) {
-            WatchRead::Frame(bytes) => match decode_response_any(&bytes).map(|(_, r, _)| r) {
+        let mut stop = || abandoned() || Instant::now() >= until;
+        match read_frame_until(&mut stream, DEFAULT_MAX_FRAME, Some(&mut stop)) {
+            Ok(bytes) => match decode_response_any(&bytes).map(|(_, r, _)| r) {
                 Ok(Response::TuneShardPart(part)) => {
                     if let Err(flaw) = part.verify(range.epoch) {
                         fleet
@@ -1357,89 +1356,14 @@ fn run_attempt(
                 // this path is unusable right now.
                 Ok(_) | Err(_) => return fail(None, saved),
             },
-            WatchRead::TimedOut | WatchRead::Failed => return fail(None, saved),
             // Abandoned attempts blame nobody: the shard may be
             // healthy, the range just resolved without it (or the tune
             // was cancelled). Dropping the socket is what tells the
             // shard to cancel its sub-search.
-            WatchRead::Abandoned => return AttemptEnd::Abandoned,
-        }
-    }
-}
-
-/// Read one reply frame in short timeout slices, watching the frame
-/// deadline, the tune-wide cancel token, the range's `done` latch, and
-/// the member's `departed` flag (a `ShardLeave` mid-attempt abandons
-/// the read so the coordinator can re-dispatch the suffix at once).
-fn watch_read(
-    stream: &mut TcpStream,
-    until: Instant,
-    cancel: &CancelToken,
-    done: &AtomicBool,
-    departed: &AtomicBool,
-) -> WatchRead {
-    use std::io::Read as _;
-
-    use crate::protocol::READ_CHUNK;
-
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-    let mut header = [0u8; 4];
-    let mut have = 0usize;
-    // (buffer, bytes filled, total payload length); the buffer grows
-    // by READ_CHUNK steps as bytes land, never to the full declared
-    // length up front (same discipline as `protocol::read_frame`).
-    let mut body: Option<(Vec<u8>, usize, usize)> = None;
-    loop {
-        if done.load(Ordering::Acquire) || cancel.is_cancelled() || departed.load(Ordering::Acquire)
-        {
-            return WatchRead::Abandoned;
-        }
-        if Instant::now() >= until {
-            return WatchRead::TimedOut;
-        }
-        let read = match &mut body {
-            None => stream.read(&mut header[have..]),
-            Some((buf, filled, len)) => {
-                if *filled == buf.len() {
-                    let grow = (*len).min(*filled + READ_CHUNK);
-                    buf.resize(grow, 0);
-                }
-                stream.read(&mut buf[*filled..])
-            }
-        };
-        match read {
-            Ok(0) => return WatchRead::Failed,
-            Ok(n) => match &mut body {
-                None => {
-                    have += n;
-                    if have == 4 {
-                        let len = u32::from_be_bytes(header) as usize;
-                        if len > DEFAULT_MAX_FRAME {
-                            return WatchRead::Failed;
-                        }
-                        if len == 0 {
-                            return WatchRead::Frame(Vec::new());
-                        }
-                        body = Some((vec![0u8; len.min(READ_CHUNK)], 0, len));
-                    }
-                }
-                Some((buf, filled, len)) => {
-                    *filled += n;
-                    if *filled == *len {
-                        return WatchRead::Frame(std::mem::take(buf));
-                    }
-                }
-            },
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return WatchRead::Failed,
+            Err(WireError::Stopped) if abandoned() => return AttemptEnd::Abandoned,
+            // A passed frame deadline (the shard is slow), EOF, or a
+            // transport failure: blame the shard.
+            Err(_) => return fail(None, saved),
         }
     }
 }

@@ -40,9 +40,11 @@
 //! On a negotiated pipelined connection the client may keep many
 //! requests in flight; replies carry the request's correlation id and
 //! return in completion order, so a cheap `Ping` overtakes a long
-//! `Tune` queued ahead of it. Queued `Tune` requests with identical
-//! bodies are deduplicated into one search whose answer fans out to
-//! every waiter (`--dedup off` disables this).
+//! `Tune` queued ahead of it. A connection that never negotiated
+//! pipelining keeps one request in flight and answers in request
+//! order. Queued `Tune` requests with identical bodies are deduplicated
+//! into one search whose answer fans out to every waiter (`--dedup off`
+//! disables this).
 //!
 //! Any work request may instead receive `Busy` (bounded admission
 //! queue is full — retry later) or `Failed` (typed error). Session

@@ -156,7 +156,11 @@ pub struct Metrics {
     pub protocol_errors: AtomicU64,
     /// Requests whose deadline expired before execution started.
     pub deadline_expired: AtomicU64,
-    /// Requests cancelled mid-run (deadline or disconnect).
+    /// Admitted requests cancelled because their connection ended
+    /// before the reply was written: the reader saw EOF or an
+    /// unreadable frame, or the writer's socket failed. One rule on
+    /// both framings; a deadline is the request's own budget and is
+    /// never counted here (see `deadline_expired`).
     pub cancelled: AtomicU64,
     /// Tuning-cache hits observed by `Tune`.
     pub cache_hits: AtomicU64,
@@ -166,15 +170,16 @@ pub struct Metrics {
     pub cache_stale: AtomicU64,
     /// Connections accepted over the server's lifetime.
     pub connections: AtomicU64,
-    /// Connections that negotiated the binary pipelined protocol via
-    /// `Hello`/`HelloAck` (the rest stayed on blocking JSON).
+    /// Connections whose `Hello` negotiated a binary version (counted
+    /// once per connection; the rest never sent one and speak JSON).
     pub binary_connections: AtomicU64,
     /// Request frames decoded from JSON text payloads.
     pub json_requests: AtomicU64,
     /// Request frames decoded from binary envelopes.
     pub binary_requests: AtomicU64,
     /// High-water mark of concurrently in-flight requests on any one
-    /// pipelined connection (admitted or executing, not yet replied).
+    /// connection (admitted or executing, not yet replied). Only a
+    /// pipelined connection can exceed 1.
     pub inflight_peak: AtomicU64,
     /// Dedup batches executed: one queued `Tune` ran on behalf of
     /// itself plus at least one fingerprint-identical waiter.
@@ -1028,7 +1033,8 @@ pub struct StatsReply {
     pub protocol_errors: u64,
     /// Requests that expired before execution.
     pub deadline_expired: u64,
-    /// Requests cancelled mid-run.
+    /// Admitted requests cancelled because their connection ended
+    /// before the reply was written (never deadlines).
     pub cancelled: u64,
     /// Tuning-cache hits.
     pub cache_hits: u64,
@@ -1036,14 +1042,14 @@ pub struct StatsReply {
     pub cache_misses: u64,
     /// Tuning-cache stale entries.
     pub cache_stale: u64,
-    /// Connections that negotiated the binary pipelined protocol.
+    /// Connections whose `Hello` negotiated a binary version.
     pub binary_connections: u64,
     /// Request frames decoded from JSON text payloads.
     pub json_requests: u64,
     /// Request frames decoded from binary envelopes.
     pub binary_requests: u64,
-    /// Peak concurrently in-flight requests on one pipelined
-    /// connection.
+    /// Peak concurrently in-flight requests on one connection (only a
+    /// pipelined one can exceed 1).
     pub inflight_peak: u64,
     /// Dedup batches executed (one search served 2+ identical tunes).
     pub dedup_batches: u64,

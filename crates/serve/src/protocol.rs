@@ -875,6 +875,9 @@ pub enum WireError {
     },
     /// The payload was not valid JSON of the expected shape.
     Malformed(String),
+    /// The caller's stop check ended [`read_frame_until`] before a
+    /// whole frame arrived.
+    Stopped,
 }
 
 impl std::fmt::Display for WireError {
@@ -889,6 +892,7 @@ impl std::fmt::Display for WireError {
                 write!(f, "oversized frame: {len} bytes exceeds the {max}-byte cap")
             }
             WireError::Malformed(e) => write!(f, "malformed payload: {e}"),
+            WireError::Stopped => write!(f, "read stopped by the caller"),
         }
     }
 }
@@ -927,45 +931,75 @@ pub const READ_CHUNK: usize = 64 << 10;
 
 /// Read one frame's payload, enforcing `max`. Clean EOF before the
 /// first header byte is [`WireError::Closed`]; EOF anywhere later is
-/// [`WireError::Truncated`]. A length prefix over `max` is rejected
+/// [`WireError::Truncated`]; a read timeout set on the stream surfaces
+/// as [`WireError::Io`]. A length prefix over `max` is rejected
 /// before any payload byte is read or buffered, and payload memory is
 /// reserved incrementally ([`READ_CHUNK`]) as bytes arrive — never all
 /// up front on the strength of the prefix alone.
 pub fn read_frame(r: &mut impl std::io::Read, max: usize) -> Result<Vec<u8>, WireError> {
+    read_frame_until(r, max, None)
+}
+
+/// [`read_frame`] that the caller can abandon. With `stop` set, a read
+/// timeout (`WouldBlock`/`TimedOut`) is retried instead of returned,
+/// and `stop` is checked before every read call — so on a stream with
+/// a read timeout it runs at least once per timeout while the peer is
+/// silent. When it returns `true` the read gives up with
+/// [`WireError::Stopped`]. `None` is plain [`read_frame`].
+pub fn read_frame_until(
+    r: &mut impl std::io::Read,
+    max: usize,
+    mut stop: Option<&mut dyn FnMut() -> bool>,
+) -> Result<Vec<u8>, WireError> {
     let mut header = [0u8; 4];
-    let mut have = 0;
-    while have < 4 {
-        match r.read(&mut header[have..]) {
-            Ok(0) if have == 0 => return Err(WireError::Closed),
-            Ok(0) => {
-                return Err(WireError::Truncated {
-                    expected: 4,
-                    got: have,
-                })
-            }
-            Ok(n) => have += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(WireError::Io(e)),
-        }
+    let mut got = 0;
+    match fill(r, &mut header, &mut got, 4, &mut stop) {
+        Err(WireError::Truncated { got: 0, .. }) => return Err(WireError::Closed),
+        other => other?,
     }
     let len = u32::from_be_bytes(header) as usize;
     if len > max {
         return Err(WireError::Oversized { len, max });
     }
-    let mut payload = vec![0u8; len.min(READ_CHUNK)];
+    let mut payload = Vec::new();
     let mut got = 0;
-    while got < len {
-        if got == payload.len() {
-            payload.resize(len.min(got + READ_CHUNK), 0);
+    while payload.len() < len {
+        payload.resize(len.min(payload.len() + READ_CHUNK), 0);
+        fill(r, &mut payload, &mut got, len, &mut stop)?;
+    }
+    Ok(payload)
+}
+
+/// Read into `buf[*got..]` until it is full (`expected` is the frame
+/// part's full length, reported on EOF).
+fn fill(
+    r: &mut impl std::io::Read,
+    buf: &mut [u8],
+    got: &mut usize,
+    expected: usize,
+    stop: &mut Option<&mut dyn FnMut() -> bool>,
+) -> Result<(), WireError> {
+    use std::io::ErrorKind;
+    while *got < buf.len() {
+        if stop.as_mut().is_some_and(|stop| stop()) {
+            return Err(WireError::Stopped);
         }
-        match r.read(&mut payload[got..]) {
-            Ok(0) => return Err(WireError::Truncated { expected: len, got }),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+        match r.read(&mut buf[*got..]) {
+            Ok(0) => {
+                return Err(WireError::Truncated {
+                    expected,
+                    got: *got,
+                })
+            }
+            Ok(n) => *got += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e)
+                if stop.is_some()
+                    && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(e) => return Err(WireError::Io(e)),
         }
     }
-    Ok(payload)
+    Ok(())
 }
 
 /// Serialize a request to frame-payload bytes.
@@ -1286,7 +1320,8 @@ pub fn encode_response_binary(corr: u64, resp: &Response) -> Vec<u8> {
 
 /// Decode a request from either encoding, sniffed by the first byte.
 /// Returns `(correlation id, request, was_binary)`; JSON payloads get
-/// correlation id 0 (the blocking protocol has exactly one in flight).
+/// correlation id 0 (JSON carries none; a connection that never
+/// negotiated pipelining keeps one request in flight).
 pub fn decode_request_any(payload: &[u8]) -> Result<(u64, Request, bool), WireError> {
     if is_binary(payload) {
         let (corr, value) = decode_binary_envelope(payload)?;
@@ -1406,6 +1441,80 @@ mod tests {
             }
             other => panic!("expected Truncated, got {other:?}"),
         }
+    }
+
+    /// Yields one byte at a time, timing out once before each — a
+    /// socket with a read timeout and a slow peer.
+    struct Stalling {
+        bytes: Vec<u8>,
+        pos: usize,
+        stalled: bool,
+    }
+
+    impl std::io::Read for Stalling {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.stalled = !self.stalled;
+            if self.stalled {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let Some(&b) = self.bytes.get(self.pos) else {
+                return Ok(0);
+            };
+            buf[0] = b;
+            self.pos += 1;
+            Ok(1)
+        }
+    }
+
+    fn stalling(payload: &[u8]) -> Stalling {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, payload).unwrap();
+        Stalling {
+            bytes,
+            pos: 0,
+            stalled: false,
+        }
+    }
+
+    #[test]
+    fn read_timeouts_are_errors_for_plain_reads_and_retried_under_a_stop_check() {
+        assert!(matches!(
+            read_frame(&mut stalling(b"hello"), 1024),
+            Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock
+        ));
+        let mut checks = 0;
+        let mut never = || {
+            checks += 1;
+            false
+        };
+        let got = read_frame_until(&mut stalling(b"hello"), 1024, Some(&mut never)).unwrap();
+        assert_eq!(got, b"hello");
+        assert!(checks >= 9, "checked before every read ({checks})");
+    }
+
+    #[test]
+    fn stop_check_abandons_a_read_mid_frame() {
+        let mut checks = 0;
+        let mut after_six = || {
+            checks += 1;
+            checks > 6
+        };
+        assert!(matches!(
+            read_frame_until(&mut stalling(b"hello"), 1024, Some(&mut after_six)),
+            Err(WireError::Stopped)
+        ));
+        // The cap and clean-EOF contract hold under a stop check too.
+        let mut never = || false;
+        let mut oversized = stalling(&[0u8; 64]);
+        assert!(matches!(
+            read_frame_until(&mut oversized, 16, Some(&mut never)),
+            Err(WireError::Oversized { len: 64, max: 16 })
+        ));
+        let mut empty = std::io::Cursor::new(Vec::new());
+        assert!(matches!(
+            read_frame_until(&mut empty, 16, Some(&mut never)),
+            Err(WireError::Closed)
+        ));
     }
 
     #[test]

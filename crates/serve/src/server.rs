@@ -3,10 +3,9 @@
 //!
 //! ```text
 //!                    ┌────────────────────────── Shared ───────────────────────────┐
-//!  client ──TCP──▶ acceptor ──▶ connection thread ──try_admit──▶ [bounded queue]   │
-//!                    │           │  ▲                              │                │
-//!                    │           │  └── reply (mpsc) ◀── worker ◀──┘               │
-//!                    │           └── full → `Busy` (never buffered)                │
+//!  client ──TCP──▶ acceptor ──▶ connection reader ──try_admit──▶ [bounded queue]   │
+//!    ▲               │           │  └── full → `Busy` (never buffered)   │          │
+//!    └──── connection writer ◀── reply (mpsc) ◀──────────── worker ◀─────┘          │
 //!                    │               metrics ◀── everyone                          │
 //!                    └──────────────────────────────────────────────────────────────┘
 //! ```
@@ -18,11 +17,11 @@
 //!   no unbounded buffer anywhere (frames are length-checked before
 //!   they are read, the queue before it is pushed);
 //! * **deadlines propagate** — a request's `deadline_ms` becomes a
-//!   tuner [`Budget::deadline`](fm_autotune::Budget) *and* a
-//!   [`CancelToken`] latched by the connection thread's watchdog, so an
-//!   expired or disconnected client stops burning cores between
-//!   candidate evaluations and still receives its best-so-far partial
-//!   result (if it is still connected to read it);
+//!   tuner [`Budget::deadline`](fm_autotune::Budget) (endpoints without
+//!   a budget check it before they run), and every admitted request
+//!   carries a [`CancelToken`] that the connection latches when its
+//!   client leaves, so an abandoned search stops burning cores between
+//!   candidate evaluations;
 //! * **drain, then exit** — shutdown closes admission first; admitted
 //!   requests run to completion and their replies are delivered before
 //!   any thread exits.
@@ -51,13 +50,14 @@ use fm_workspan::ThreadPool;
 use crate::fleet::{Fleet, FleetConfig};
 use crate::metrics::{Metrics, StatsReply};
 use crate::protocol::{
-    decode_request_any, encode_response_binary, queue_frame, write_frame, write_response,
-    BusyReply, EvaluateReply, EvaluateRequest, FailReply, HelloAckReply, MembershipReply,
-    NoSuchSessionReply, Request, Response, SessionCloseRequest, SessionClosedReply,
-    SessionEditRequest, SessionEditedReply, SessionOpenRequest, SessionOpenedReply,
-    SessionTuneRequest, SessionTunedReply, ShardBest, SimulateReply, SimulateRequest, TuneReply,
-    TuneRequest, TuneShardBody, TuneShardPart, TuneShardPartBody, TuneShardReply, TuneShardRequest,
-    WireError, DEFAULT_MAX_FRAME, PROTOCOL_BINARY_VERSION, READ_CHUNK,
+    decode_request_any, encode_response, encode_response_binary, is_binary, queue_frame,
+    read_frame_until, BusyReply, EvaluateReply, EvaluateRequest, FailReply, HelloAckReply,
+    MembershipReply, NoSuchSessionReply, Request, Response, SessionCloseRequest,
+    SessionClosedReply, SessionEditRequest, SessionEditedReply, SessionOpenRequest,
+    SessionOpenedReply, SessionTuneRequest, SessionTunedReply, ShardBest, SimulateReply,
+    SimulateRequest, TuneReply, TuneRequest, TuneShardBody, TuneShardPart, TuneShardPartBody,
+    TuneShardReply, TuneShardRequest, WireError, BINARY_HEADER, DEFAULT_MAX_FRAME,
+    PROTOCOL_BINARY_VERSION,
 };
 use crate::session::{EditOutcome, SessionRegistry, SessionState};
 
@@ -85,9 +85,10 @@ pub struct ServerConfig {
     pub fleet: Option<FleetConfig>,
     /// Scripted per-candidate slowdown for `TuneShard` work, in
     /// milliseconds: a bench/chaos hook that makes *this* server a
-    /// deterministic straggler. Applied identically on the blocking and
-    /// streaming paths (it models slow compute, not slow frames), so
-    /// comparisons between the two stay fair. `None` in production.
+    /// deterministic straggler. Applied identically to blocking and
+    /// streamed shard replies (it models slow compute, not slow
+    /// frames), so comparisons between the two stay fair. `None` in
+    /// production.
     pub straggle_ms_per_candidate: Option<u64>,
     /// Evict sessions idle for at least this long (no edit, tune, or
     /// close touched them). `None` keeps sessions until closed — fine
@@ -123,21 +124,39 @@ impl Default for ServerConfig {
     }
 }
 
-/// Where a job's responses go: the reply channel of the connection
-/// that admitted it, tagged with the request's correlation id so a
-/// pipelined connection can match out-of-order completions. Blocking
-/// (JSON) connections use a per-request channel and correlation id 0.
+/// How one reply is framed: the correlation id and encoding of the
+/// request frame that provoked it — binary with the id for a binary
+/// envelope, classic JSON for JSON text.
+#[derive(Clone, Copy)]
+struct Tag {
+    corr: u64,
+    binary: bool,
+}
+
+impl Tag {
+    fn encode(self, resp: &Response) -> Vec<u8> {
+        if self.binary {
+            encode_response_binary(self.corr, resp)
+        } else {
+            encode_response(resp)
+        }
+    }
+}
+
+/// Where a job's responses go: the writer channel of the connection
+/// that admitted it, tagged like the request frame so a pipelined
+/// connection can match out-of-order completions.
 #[derive(Clone)]
 struct Reply {
-    corr: u64,
-    tx: mpsc::Sender<(u64, Response)>,
+    tag: Tag,
+    tx: mpsc::Sender<(Tag, Response)>,
 }
 
 impl Reply {
     /// Deliver the response; `false` means the connection side is gone
     /// (the reply is dropped, never an error for the worker).
     fn send(&self, resp: Response) -> bool {
-        self.tx.send((self.corr, resp)).is_ok()
+        self.tx.send((self.tag, resp)).is_ok()
     }
 }
 
@@ -498,9 +517,20 @@ fn acceptor_main(shared: &Arc<Shared>, listener: TcpListener) {
                 let shared2 = Arc::clone(shared);
                 let handle = std::thread::Builder::new()
                     .name("fm-serve-conn".to_string())
-                    .spawn(move || handle_connection(&shared2, stream))
+                    .spawn(move || serve_connection(&shared2, stream))
                     .expect("spawn connection thread");
-                shared.conn_handles.lock().push(handle);
+                // Reap finished connection threads as new ones arrive,
+                // so a long-running server holds handles only for the
+                // connections still open.
+                let mut handles = shared.conn_handles.lock();
+                for h in std::mem::take(&mut *handles) {
+                    if h.is_finished() {
+                        let _ = h.join();
+                    } else {
+                        handles.push(h);
+                    }
+                }
+                handles.push(handle);
             }
             Err(_) => {
                 if shared.is_shutdown() {
@@ -511,221 +541,125 @@ fn acceptor_main(shared: &Arc<Shared>, listener: TcpListener) {
     }
 }
 
-/// Why the connection read loop stopped.
-enum ReadStop {
-    /// Peer closed cleanly at a frame boundary.
-    Closed,
-    /// Server is draining (or the peer stalled mid-frame during it).
-    Shutdown,
-    /// Framing/decoding failure (reported to the peer, then closed).
-    Protocol(WireError),
+/// A connection's in-flight ledger: correlation id → [`CancelToken`]
+/// for every admitted request whose terminal reply is not yet written.
+/// The reader enters a request before admission; the writer retires it
+/// once the terminal reply is queued (streamed `TuneShardPart` frames
+/// keep it alive).
+#[derive(Default)]
+struct Ledger {
+    live: Mutex<HashMap<u64, CancelToken>>,
+    emptied: Condvar,
 }
 
-/// Read one frame, polling the shutdown flag between read timeouts so
-/// idle connections exit promptly during a drain.
-fn read_frame_polling(stream: &mut TcpStream, shared: &Shared) -> Result<Vec<u8>, ReadStop> {
-    use std::io::Read as _;
+impl Ledger {
+    /// Enter a request; returns the new in-flight depth.
+    fn enter(&self, corr: u64, cancel: CancelToken) -> u64 {
+        let mut live = self.live.lock();
+        live.insert(corr, cancel);
+        live.len() as u64
+    }
 
-    let mut header = [0u8; 4];
-    let mut have = 0usize;
-    // (buf, filled, total length): buf grows by READ_CHUNK steps as
-    // bytes actually land — a length prefix alone never commits the
-    // memory it claims (see `protocol::read_frame`).
-    let mut payload: Option<(Vec<u8>, usize, usize)> = None;
-    loop {
-        if shared.is_shutdown() {
-            return Err(ReadStop::Shutdown);
+    fn retire(&self, corr: u64) {
+        let mut live = self.live.lock();
+        live.remove(&corr);
+        if live.is_empty() {
+            self.emptied.notify_all();
         }
-        let in_header = payload.is_none();
-        let (read, filled, expected) = match &mut payload {
-            None => (stream.read(&mut header[have..]), &mut have, 4),
-            Some((b, f, len)) => {
-                if *f == b.len() {
-                    let grow = (*len).min(*f + READ_CHUNK);
-                    b.resize(grow, 0);
-                }
-                let len = *len;
-                (stream.read(&mut b[*f..]), f, len)
-            }
-        };
-        match read {
-            Ok(0) => {
-                return if in_header && *filled == 0 {
-                    Err(ReadStop::Closed)
-                } else {
-                    Err(ReadStop::Protocol(WireError::Truncated {
-                        expected,
-                        got: *filled,
-                    }))
-                };
-            }
-            Ok(n) => {
-                *filled += n;
-                if *filled == expected {
-                    match payload.take() {
-                        None => {
-                            let len = u32::from_be_bytes(header) as usize;
-                            if len > shared.config.max_frame {
-                                return Err(ReadStop::Protocol(WireError::Oversized {
-                                    len,
-                                    max: shared.config.max_frame,
-                                }));
-                            }
-                            // A zero-length payload is complete already.
-                            if len == 0 {
-                                return Ok(Vec::new());
-                            }
-                            payload = Some((vec![0u8; len.min(READ_CHUNK)], 0, len));
-                        }
-                        Some((buf, _, _)) => return Ok(buf),
-                    }
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue; // poll the shutdown flag, then retry
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(ReadStop::Protocol(WireError::Io(e))),
+    }
+
+    /// Block until every entered request has its terminal reply queued.
+    fn wait_empty(&self) {
+        let mut live = self.live.lock();
+        while !live.is_empty() {
+            self.emptied.wait(&mut live);
         }
+    }
+
+    /// Nobody is left to read these replies: latch every live token,
+    /// counting each in [`Metrics::cancelled`], and empty the ledger.
+    fn cancel_all(&self, metrics: &Metrics) {
+        let mut live = self.live.lock();
+        for (_, cancel) in live.drain() {
+            if !cancel.is_cancelled() {
+                metrics.cancelled.fetch_add(1, Ordering::Relaxed);
+                cancel.cancel();
+            }
+        }
+        self.emptied.notify_all();
     }
 }
 
-/// Is the peer's read half gone? (Non-blocking 1-byte peek: `Ok(0)`
-/// means orderly shutdown from the other side.)
-fn peer_gone(stream: &TcpStream) -> bool {
-    let mut probe = [0u8; 1];
-    let _ = stream.set_nonblocking(true);
-    let gone = matches!(stream.peek(&mut probe), Ok(0));
-    let _ = stream.set_nonblocking(false);
-    gone
-}
-
-/// Write one response in the encoding of the request that provoked it:
-/// a binary-framed request gets a binary reply carrying its
-/// correlation id, a JSON request gets classic JSON. Blocking
-/// connections never mix encodings within one request/reply exchange.
-fn write_reply(
-    stream: &mut impl std::io::Write,
-    corr: u64,
-    resp: &Response,
-    binary: bool,
-) -> std::io::Result<()> {
-    if binary {
-        write_frame(stream, &encode_response_binary(corr, resp))
-    } else {
-        write_response(stream, resp)
-    }
-}
-
-/// Wait for the worker's reply while watching the deadline and the
-/// socket. Streamed [`Response::TuneShardPart`] frames are forwarded
-/// to the peer as they arrive; the loop keeps waiting for the terminal
-/// response. Returns `None` when the client disconnected (nobody left
-/// to reply to); the worker's eventual send then fails harmlessly.
-fn wait_for_reply(
-    stream: &TcpStream,
-    rx: &mpsc::Receiver<(u64, Response)>,
-    deadline: Option<Instant>,
-    cancel: &CancelToken,
-    shared: &Shared,
-    binary: bool,
-) -> Option<Response> {
-    loop {
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok((corr, part @ Response::TuneShardPart(_))) => {
-                // `&TcpStream` is `Write`; the terminal reply is
-                // written by this same thread after the loop, so part
-                // and terminal frames never interleave.
-                let mut w = stream;
-                if write_reply(&mut w, corr, &part, binary).is_err() {
-                    if !cancel.is_cancelled() {
-                        shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                        cancel.cancel();
-                    }
-                    return None;
-                }
-            }
-            Ok((_, resp)) => return Some(resp),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d && !cancel.is_cancelled() {
-                        shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                        cancel.cancel();
-                    }
-                }
-                if peer_gone(stream) {
-                    if !cancel.is_cancelled() {
-                        shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                        cancel.cancel();
-                    }
-                    return None;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Some(Response::Failed(FailReply {
-                    kind: "internal".to_string(),
-                    error: "worker dropped the request".to_string(),
-                }))
-            }
-        }
-    }
-}
-
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
+/// Serve one connection until the peer leaves, sends an unreadable
+/// frame, or the server drains.
+///
+/// The connection splits in two: this thread reads frames and answers
+/// or admits them, and a writer thread owns the write half, writing
+/// each reply in the encoding of the frame that provoked it ([`Tag`]).
+/// The last `Hello` ack sets the mode:
+///
+/// * until a `Hello` negotiates pipelining, the reader holds each frame
+///   until the [`Ledger`] is empty, so at most one request is in flight
+///   and replies keep request order;
+/// * pipelined, frames are admitted as fast as they arrive and replies
+///   are written in *completion* order, matched by correlation id.
+///
+/// The ledger is also the drain and cancellation record. When the
+/// reader sees EOF (or an unreadable frame), every live token is
+/// cancelled — nobody is left to read those replies. On a drain the
+/// connection lingers until the ledger empties, so every admitted
+/// request's reply is written before the socket closes.
+fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
+    let Ok(write_half) = stream.try_clone() else {
+        return;
+    };
+    let (tx, rx) = mpsc::channel::<(Tag, Response)>();
+    let ledger = Arc::new(Ledger::default());
+    let writer = {
+        let ledger = Arc::clone(&ledger);
+        let shared = Arc::clone(shared);
+        std::thread::Builder::new()
+            .name("fm-serve-conn-writer".to_string())
+            .spawn(move || connection_writer(&shared, write_half, &rx, &ledger))
+            .expect("spawn connection writer")
+    };
 
-    loop {
-        let payload = match read_frame_polling(&mut stream, shared) {
-            Ok(p) => p,
-            Err(ReadStop::Closed) | Err(ReadStop::Shutdown) => return,
-            Err(ReadStop::Protocol(e)) => {
-                shared
-                    .metrics
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(
-                    &mut stream,
-                    &Response::Failed(FailReply {
-                        kind: "protocol".to_string(),
-                        error: e.to_string(),
-                    }),
-                );
-                return; // framing state is unrecoverable; close
-            }
-        };
-        let (corr, request, was_binary) = match decode_request_any(&payload) {
-            Ok(t) => t,
+    let mut stop = || shared.is_shutdown();
+    let mut pipeline = false;
+    let mut negotiated_binary = false;
+    let draining = loop {
+        let payload = match read_frame_until(&mut stream, shared.config.max_frame, Some(&mut stop))
+        {
+            Ok(payload) => payload,
+            Err(WireError::Closed) => break false,
+            // Server-wide drain: stop reading, but deliver every
+            // admitted reply before closing.
+            Err(WireError::Stopped) => break true,
             Err(e) => {
-                shared
-                    .metrics
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = write_response(
-                    &mut stream,
-                    &Response::Failed(FailReply {
-                        kind: "protocol".to_string(),
-                        error: e.to_string(),
-                    }),
-                );
-                return;
+                protocol_error(shared, &tx, &[], &e);
+                break false;
             }
         };
-        if was_binary {
-            shared
-                .metrics
-                .binary_requests
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            shared.metrics.json_requests.fetch_add(1, Ordering::Relaxed);
+        if !pipeline {
+            ledger.wait_empty();
         }
+        let (tag, request) = match decode_request_any(&payload) {
+            Ok((corr, request, binary)) => (Tag { corr, binary }, request),
+            Err(e) => {
+                protocol_error(shared, &tx, &payload, &e);
+                break false;
+            }
+        };
+        let counter = if tag.binary {
+            &shared.metrics.binary_requests
+        } else {
+            &shared.metrics.json_requests
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
 
-        match request {
+        let resp = match request {
             // Version negotiation: meet the client at the highest
             // version both sides speak. Pipelining needs the binary
             // envelope (correlation ids live in its header), so a
@@ -733,29 +667,21 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             // agreed.
             Request::Hello(h) => {
                 let version = h.max_version.min(PROTOCOL_BINARY_VERSION);
-                let pipeline = h.pipeline && version > 0;
-                let ack = Response::HelloAck(HelloAckReply { version, pipeline });
-                if write_reply(&mut stream, corr, &ack, was_binary).is_err() {
-                    return;
-                }
-                if version > 0 {
+                pipeline = h.pipeline && version > 0;
+                if version > 0 && !negotiated_binary {
+                    negotiated_binary = true;
                     shared
                         .metrics
                         .binary_connections
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                if pipeline {
-                    pipelined_connection(shared, stream);
-                    return;
-                }
+                Response::HelloAck(HelloAckReply { version, pipeline })
             }
             Request::Ping => {
                 let ep = &shared.metrics.ping;
                 ep.received.fetch_add(1, Ordering::Relaxed);
                 ep.completed.fetch_add(1, Ordering::Relaxed);
-                if write_reply(&mut stream, corr, &Response::Pong, was_binary).is_err() {
-                    return;
-                }
+                Response::Pong
             }
             // Stats bypasses admission entirely: it must answer even —
             // especially — when the queue is full.
@@ -766,27 +692,14 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 let snap = shared.metrics.snapshot(shared.config.queue_capacity);
                 ep.completed.fetch_add(1, Ordering::Relaxed);
                 ep.latency.record(t0.elapsed());
-                let resp = Response::Stats(Box::new(snap));
-                if write_reply(&mut stream, corr, &resp, was_binary).is_err() {
-                    return;
-                }
+                Response::Stats(Box::new(snap))
             }
-            Request::ShardJoin(j) => {
-                let resp = membership_change(shared, &j.addr, true);
-                if write_reply(&mut stream, corr, &resp, was_binary).is_err() {
-                    return;
-                }
-            }
-            Request::ShardLeave(l) => {
-                let resp = membership_change(shared, &l.addr, false);
-                if write_reply(&mut stream, corr, &resp, was_binary).is_err() {
-                    return;
-                }
-            }
+            Request::ShardJoin(j) => membership_change(shared, &j.addr, true),
+            Request::ShardLeave(l) => membership_change(shared, &l.addr, false),
             Request::Shutdown => {
-                let _ = write_reply(&mut stream, corr, &Response::ShuttingDown, was_binary);
+                let _ = tx.send((tag, Response::ShuttingDown));
                 shared.begin_shutdown();
-                return;
+                break true;
             }
             work @ (Request::Tune(_)
             | Request::TuneShard(_)
@@ -800,62 +713,111 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 endpoint.received.fetch_add(1, Ordering::Relaxed);
                 if let Some(refusal) = grid_refusal(&work) {
                     endpoint.failed.fetch_add(1, Ordering::Relaxed);
-                    let resp = Response::Failed(refusal);
-                    if write_reply(&mut stream, corr, &resp, was_binary).is_err() {
-                        return;
-                    }
-                    continue;
-                }
-                if shared.is_shutdown() {
-                    let _ = write_response(&mut stream, &Response::ShuttingDown);
-                    return;
-                }
-                let accepted = Instant::now();
-                let deadline = work_deadline_ms(&work, shared.config.default_deadline_ms)
-                    .map(|ms| accepted + Duration::from_millis(ms));
-                let cancel = CancelToken::new();
-                let fingerprint = match &work {
-                    Request::Tune(t) if shared.config.dedup_tunes => Some(tune_dedup_key(t)),
-                    _ => None,
-                };
-                let (tx, rx) = mpsc::channel::<(u64, Response)>();
-                let job = Job {
-                    request: work,
-                    accepted,
-                    deadline,
-                    cancel: cancel.clone(),
-                    fingerprint,
-                    reply: Reply { corr, tx },
-                };
-                if shared.try_admit(job) {
-                    match wait_for_reply(&stream, &rx, deadline, &cancel, shared, was_binary) {
-                        Some(resp) => {
-                            if write_reply(&mut stream, corr, &resp, was_binary).is_err() {
-                                return;
-                            }
-                        }
-                        None => return, // client gone; close
-                    }
+                    Response::Failed(refusal)
+                } else if shared.is_shutdown() {
+                    let _ = tx.send((tag, Response::ShuttingDown));
+                    break true;
                 } else {
-                    shared
-                        .metrics
-                        .busy_rejections
-                        .fetch_add(1, Ordering::Relaxed);
-                    let resp = if shared.is_shutdown() {
-                        Response::ShuttingDown
-                    } else {
-                        Response::Busy(BusyReply {
-                            queue_depth: shared.config.queue_capacity as u64,
-                            queue_capacity: shared.config.queue_capacity as u64,
-                        })
-                    };
-                    if write_reply(&mut stream, corr, &resp, was_binary).is_err() {
-                        return;
+                    match admit(shared, work, tag, &tx, &ledger) {
+                        None => continue,
+                        Some(refusal) => refusal,
                     }
                 }
             }
+        };
+        if tx.send((tag, resp)).is_err() {
+            break false;
         }
+    };
+
+    if draining {
+        // The writer empties the ledger itself if the socket dies, so
+        // this cannot wait on a dead connection.
+        ledger.wait_empty();
+    } else {
+        ledger.cancel_all(&shared.metrics);
     }
+    drop(tx); // the writer's recv() disconnects once workers finish
+    let _ = writer.join();
+}
+
+/// Answer an unreadable or undecodable frame (`payload` is empty when
+/// no frame could be read) with a typed protocol failure — in binary,
+/// under the frame's correlation id when its envelope header is intact,
+/// so it lands on the right request; else in JSON. The framing state is
+/// unrecoverable, so the caller closes the connection after it.
+fn protocol_error(
+    shared: &Shared,
+    tx: &mpsc::Sender<(Tag, Response)>,
+    payload: &[u8],
+    e: &WireError,
+) {
+    shared
+        .metrics
+        .protocol_errors
+        .fetch_add(1, Ordering::Relaxed);
+    let binary = is_binary(payload);
+    let corr = match payload.get(2..BINARY_HEADER) {
+        Some(id) if binary => u64::from_be_bytes(id.try_into().expect("8 bytes")),
+        _ => 0,
+    };
+    let fail = Response::Failed(FailReply {
+        kind: "protocol".to_string(),
+        error: e.to_string(),
+    });
+    let _ = tx.send((Tag { corr, binary }, fail));
+}
+
+/// Enter `work` in the connection's ledger and offer it to the
+/// admission queue. Returns the refusal to send instead, if refused:
+/// `Busy`, or `ShuttingDown` when the queue closed under a drain.
+fn admit(
+    shared: &Shared,
+    work: Request,
+    tag: Tag,
+    tx: &mpsc::Sender<(Tag, Response)>,
+    ledger: &Ledger,
+) -> Option<Response> {
+    let accepted = Instant::now();
+    let deadline = work_deadline_ms(&work, shared.config.default_deadline_ms)
+        .map(|ms| accepted + Duration::from_millis(ms));
+    let cancel = CancelToken::new();
+    let fingerprint = match &work {
+        Request::Tune(t) if shared.config.dedup_tunes => Some(tune_dedup_key(t)),
+        _ => None,
+    };
+    let depth = ledger.enter(tag.corr, cancel.clone());
+    shared
+        .metrics
+        .inflight_peak
+        .fetch_max(depth, Ordering::Relaxed);
+    let job = Job {
+        request: work,
+        accepted,
+        deadline,
+        cancel,
+        fingerprint,
+        reply: Reply {
+            tag,
+            tx: tx.clone(),
+        },
+    };
+    if shared.try_admit(job) {
+        return None;
+    }
+    ledger.retire(tag.corr);
+    shared
+        .metrics
+        .busy_rejections
+        .fetch_add(1, Ordering::Relaxed);
+    Some(if shared.is_shutdown() {
+        Response::ShuttingDown
+    } else {
+        Response::Busy(BusyReply {
+            queue_depth: shared.config.queue_capacity as u64,
+            queue_capacity: shared.config.queue_capacity as u64,
+        })
+    })
 }
 
 /// The effective deadline for a work request: its own `deadline_ms` if
@@ -874,312 +836,39 @@ fn work_deadline_ms(work: &Request, default_ms: Option<u64>) -> Option<u64> {
     }
 }
 
-/// Pipelined mode, entered when `Hello` negotiates `pipeline = true`.
-///
-/// The connection splits in two: this thread keeps reading frames and
-/// admitting them (so many requests are in flight at once), and a
-/// dedicated writer thread owns the socket's write half, matching
-/// completions back by the correlation id each binary envelope
-/// carries. Replies arrive in *completion* order, not request order.
-///
-/// In-flight requests live in a corr → [`CancelToken`] map shared with
-/// the writer: the reader inserts before admission, the writer removes
-/// when the terminal reply is queued (streamed `TuneShardPart` frames
-/// keep the entry alive). The map is the connection's drain ledger —
-/// on a client disconnect every live token is cancelled; on `Shutdown`
-/// the connection lingers until the map empties so every admitted
-/// request's reply is actually written before the socket closes.
-fn pipelined_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let (tx, rx) = mpsc::channel::<(u64, Response)>();
-    let inflight: Arc<Mutex<HashMap<u64, CancelToken>>> = Arc::new(Mutex::new(HashMap::new()));
-    let writer = {
-        let inflight = Arc::clone(&inflight);
-        let shared = Arc::clone(shared);
-        std::thread::Builder::new()
-            .name("fm-serve-pipe-writer".to_string())
-            .spawn(move || pipelined_writer(&shared, write_half, &rx, &inflight))
-            .expect("spawn pipeline writer")
-    };
-
-    let mut draining = false;
-    loop {
-        let payload = match read_frame_polling(&mut stream, shared) {
-            Ok(p) => p,
-            Err(ReadStop::Closed) => break,
-            Err(ReadStop::Shutdown) => {
-                // Server-wide drain: stop reading, but deliver every
-                // admitted reply before closing.
-                draining = true;
-                break;
-            }
-            Err(ReadStop::Protocol(e)) => {
-                shared
-                    .metrics
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send((
-                    0,
-                    Response::Failed(FailReply {
-                        kind: "protocol".to_string(),
-                        error: e.to_string(),
-                    }),
-                ));
-                break;
-            }
-        };
-        let (corr, request, was_binary) = match decode_request_any(&payload) {
-            Ok(t) => t,
-            Err(e) => {
-                shared
-                    .metrics
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send((
-                    corr_of(&payload),
-                    Response::Failed(FailReply {
-                        kind: "protocol".to_string(),
-                        error: e.to_string(),
-                    }),
-                ));
-                break;
-            }
-        };
-        if was_binary {
-            shared
-                .metrics
-                .binary_requests
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            shared.metrics.json_requests.fetch_add(1, Ordering::Relaxed);
-        }
-
-        match request {
-            // A repeated Hello mid-stream is just re-acked; the
-            // connection already committed to binary + pipelining.
-            Request::Hello(h) => {
-                let version = h.max_version.min(PROTOCOL_BINARY_VERSION);
-                let ack = Response::HelloAck(HelloAckReply {
-                    version,
-                    pipeline: h.pipeline && version > 0,
-                });
-                if tx.send((corr, ack)).is_err() {
-                    break;
-                }
-            }
-            Request::Ping => {
-                let ep = &shared.metrics.ping;
-                ep.received.fetch_add(1, Ordering::Relaxed);
-                ep.completed.fetch_add(1, Ordering::Relaxed);
-                if tx.send((corr, Response::Pong)).is_err() {
-                    break;
-                }
-            }
-            Request::Stats => {
-                let t0 = Instant::now();
-                let ep = &shared.metrics.stats;
-                ep.received.fetch_add(1, Ordering::Relaxed);
-                let snap = shared.metrics.snapshot(shared.config.queue_capacity);
-                ep.completed.fetch_add(1, Ordering::Relaxed);
-                ep.latency.record(t0.elapsed());
-                if tx.send((corr, Response::Stats(Box::new(snap)))).is_err() {
-                    break;
-                }
-            }
-            Request::ShardJoin(j) => {
-                let resp = membership_change(shared, &j.addr, true);
-                if tx.send((corr, resp)).is_err() {
-                    break;
-                }
-            }
-            Request::ShardLeave(l) => {
-                let resp = membership_change(shared, &l.addr, false);
-                if tx.send((corr, resp)).is_err() {
-                    break;
-                }
-            }
-            Request::Shutdown => {
-                let _ = tx.send((corr, Response::ShuttingDown));
-                shared.begin_shutdown();
-                draining = true;
-                break;
-            }
-            work @ (Request::Tune(_)
-            | Request::TuneShard(_)
-            | Request::Evaluate(_)
-            | Request::Simulate(_)
-            | Request::SessionOpen(_)
-            | Request::SessionEdit(_)
-            | Request::SessionTune(_)
-            | Request::SessionClose(_)) => {
-                let endpoint = shared.metrics.endpoint(work.endpoint());
-                endpoint.received.fetch_add(1, Ordering::Relaxed);
-                if let Some(refusal) = grid_refusal(&work) {
-                    endpoint.failed.fetch_add(1, Ordering::Relaxed);
-                    if tx.send((corr, Response::Failed(refusal))).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-                if shared.is_shutdown() {
-                    let _ = tx.send((corr, Response::ShuttingDown));
-                    draining = true;
-                    break;
-                }
-                let accepted = Instant::now();
-                let deadline = work_deadline_ms(&work, shared.config.default_deadline_ms)
-                    .map(|ms| accepted + Duration::from_millis(ms));
-                let cancel = CancelToken::new();
-                let fingerprint = match &work {
-                    Request::Tune(t) if shared.config.dedup_tunes => Some(tune_dedup_key(t)),
-                    _ => None,
-                };
-                let depth = {
-                    let mut map = inflight.lock();
-                    map.insert(corr, cancel.clone());
-                    map.len() as u64
-                };
-                shared
-                    .metrics
-                    .inflight_peak
-                    .fetch_max(depth, Ordering::Relaxed);
-                let job = Job {
-                    request: work,
-                    accepted,
-                    deadline,
-                    cancel,
-                    fingerprint,
-                    reply: Reply {
-                        corr,
-                        tx: tx.clone(),
-                    },
-                };
-                if !shared.try_admit(job) {
-                    inflight.lock().remove(&corr);
-                    shared
-                        .metrics
-                        .busy_rejections
-                        .fetch_add(1, Ordering::Relaxed);
-                    let resp = if shared.is_shutdown() {
-                        Response::ShuttingDown
-                    } else {
-                        Response::Busy(BusyReply {
-                            queue_depth: shared.config.queue_capacity as u64,
-                            queue_capacity: shared.config.queue_capacity as u64,
-                        })
-                    };
-                    if tx.send((corr, resp)).is_err() {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    if draining {
-        // Wait for the writer to deliver every admitted reply. The
-        // writer empties the map itself if the socket dies, so this
-        // cannot wait on a dead connection.
-        while !inflight.lock().is_empty() {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    } else {
-        // Client is gone: stop burning cores on answers nobody reads.
-        let mut map = inflight.lock();
-        for (_, cancel) in map.drain() {
-            if !cancel.is_cancelled() {
-                shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                cancel.cancel();
-            }
-        }
-    }
-    drop(tx); // writer's recv() disconnects once workers finish
-    let _ = writer.join();
-}
-
-/// Best-effort correlation id of a frame that failed to decode, so the
-/// protocol error lands on the right in-flight request when possible.
-fn corr_of(payload: &[u8]) -> u64 {
-    use crate::protocol::{is_binary, BINARY_HEADER};
-    if is_binary(payload) && payload.len() >= BINARY_HEADER {
-        u64::from_be_bytes(payload[2..10].try_into().expect("8 bytes"))
-    } else {
-        0
-    }
-}
-
-/// The write half of a pipelined connection: sole owner of outbound
-/// frames. Bursts of completions are coalesced — every message already
-/// sitting in the channel is queued into one `BufWriter`, then flushed
-/// together — so N small replies cost one syscall, not N.
-fn pipelined_writer(
+/// The write half of a connection: sole owner of outbound frames.
+/// Bursts of completions are coalesced — every message already sitting
+/// in the channel is queued into one `BufWriter`, then flushed together
+/// — so N small replies cost one syscall, not N. When the socket dies
+/// under it, it cancels everything still in flight, empties the ledger
+/// (so a draining reader cannot wait forever), and slams the read half
+/// so the reader wakes promptly.
+fn connection_writer(
     shared: &Shared,
     stream: TcpStream,
-    rx: &mpsc::Receiver<(u64, Response)>,
-    inflight: &Mutex<HashMap<u64, CancelToken>>,
+    rx: &mpsc::Receiver<(Tag, Response)>,
+    ledger: &Ledger,
 ) {
     use std::io::Write as _;
     let mut w = std::io::BufWriter::with_capacity(64 << 10, &stream);
-    loop {
-        let (corr, resp) = match rx.recv() {
-            Ok(m) => m,
-            Err(_) => {
-                // All senders gone: reader exited and every worker
-                // reply is delivered. Final flush, then done.
-                let _ = w.flush();
-                return;
-            }
-        };
-        let mut ok = write_one(&mut w, corr, &resp, inflight);
-        while ok {
-            match rx.try_recv() {
-                Ok((corr, resp)) => ok = write_one(&mut w, corr, &resp, inflight),
-                Err(_) => break,
-            }
-        }
-        if !ok || w.flush().is_err() {
-            abort_pipeline(shared, &stream, inflight);
+    // Ends once every sender is gone: the reader exited and every
+    // worker reply is delivered.
+    while let Ok(first) = rx.recv() {
+        let written = std::iter::once(first)
+            .chain(rx.try_iter())
+            .try_for_each(|(tag, resp)| {
+                queue_frame(&mut w, &tag.encode(&resp))?;
+                if !matches!(resp, Response::TuneShardPart(_)) {
+                    ledger.retire(tag.corr);
+                }
+                Ok(())
+            });
+        if written.and_then(|()| w.flush()).is_err() {
+            ledger.cancel_all(&shared.metrics);
+            let _ = stream.shutdown(std::net::Shutdown::Both);
             return;
         }
     }
-}
-
-/// Queue one reply frame (no flush) and retire its correlation id —
-/// unless it is a streamed part, which keeps the request in flight.
-fn write_one(
-    w: &mut impl std::io::Write,
-    corr: u64,
-    resp: &Response,
-    inflight: &Mutex<HashMap<u64, CancelToken>>,
-) -> bool {
-    if queue_frame(w, &encode_response_binary(corr, resp)).is_err() {
-        return false;
-    }
-    if !matches!(resp, Response::TuneShardPart(_)) {
-        inflight.lock().remove(&corr);
-    }
-    true
-}
-
-/// The socket died under the writer: cancel everything still in
-/// flight, empty the ledger (so a draining reader can't wait forever),
-/// and slam the read half so the reader wakes promptly.
-fn abort_pipeline(
-    shared: &Shared,
-    stream: &TcpStream,
-    inflight: &Mutex<HashMap<u64, CancelToken>>,
-) {
-    let mut map = inflight.lock();
-    for (_, cancel) in map.drain() {
-        if !cancel.is_cancelled() {
-            shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-            cancel.cancel();
-        }
-    }
-    drop(map);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
 fn worker_main(shared: &Arc<Shared>) {
@@ -1287,8 +976,8 @@ fn worker_main(shared: &Arc<Shared>) {
                 waiter.reply.send(response.clone());
             }
         }
-        // The connection thread may have left (disconnect) — then the
-        // send fails and the result is simply dropped.
+        // The connection's writer may have left (the socket died) —
+        // then the send fails and the result is simply dropped.
         reply.send(response);
     }
 }
@@ -1602,8 +1291,8 @@ fn straggle(
 ///
 /// With `stream_every = Some(k)`, the range is evaluated in chunks of
 /// `k` and each finished chunk is announced with a sealed
-/// [`Response::TuneShardPart`] through `reply` (the connection thread
-/// forwards it to the socket). Chunks are evaluated in ascending index
+/// [`Response::TuneShardPart`] through `reply` (the connection's
+/// writer forwards it to the socket). Chunks are evaluated in ascending index
 /// order and each part carries the chunk-local first minimum, so the
 /// coordinator's ascending strict-`<` fold over parts reproduces the
 /// flat scan's first minimum exactly. The terminal reply still covers
@@ -1729,8 +1418,8 @@ fn exec_tune_shard(
             .tune_shard_parts
             .fetch_add(1, Ordering::Relaxed);
         if !reply.send(Response::TuneShardPart(part)) {
-            // Connection thread is gone: nobody will read further
-            // frames. Stop burning cores.
+            // The connection's writer is gone: nobody will read
+            // further frames. Stop burning cores.
             cancel.cancel();
             cancelled = true;
             break;
@@ -1830,5 +1519,33 @@ fn exec_simulate(req: SimulateRequest) -> Response {
             kind: "sim".to_string(),
             error: e.to_string(),
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{read_response, write_request};
+
+    #[test]
+    fn finished_connection_threads_are_reaped_on_accept() {
+        let config = ServerConfig {
+            workers: 1,
+            tuner_threads: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::start("127.0.0.1:0", config).unwrap();
+        for _ in 0..64 {
+            let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+            write_request(&mut conn, &Request::Ping).unwrap();
+            let reply = read_response(&mut conn, DEFAULT_MAX_FRAME).unwrap();
+            assert!(matches!(reply, Response::Pong));
+        }
+        let held = server.shared.conn_handles.lock().len();
+        assert!(
+            held <= 8,
+            "64 closed connections left {held} thread handles behind"
+        );
+        server.shutdown_and_join();
     }
 }
