@@ -46,10 +46,13 @@ echo "== fleet-faults: sharded-search chaos suite + E16 smoke =="
 cargo test --release -q -p fm-serve --test fleet_faults
 cargo run --release -q -p fm-bench --bin table_e16_fleet -- --quick --no-json >/dev/null
 
-echo "== E17 smoke: streaming + weighted beats blocking on a scripted straggler =="
-# 2-shard topology, shard 0 scripted slow: the binary itself asserts
-# winner parity, parts_merged > 0, zero discarded parts, and the
-# speedup bar, exiting non-zero on any violation.
+echo "== E17 smoke: streaming + weighted beats a blocking baseline on a scripted straggler =="
+# 2-shard topology, shard 0 scripted slow, both rows on the one fleet
+# path: the baseline asks for one chunk per range from a fresh
+# (cold-weighted) coordinator per tune, the streaming row for 4-candidate
+# chunks from one coordinator that keeps its weights. The binary itself
+# asserts winner parity, parts_merged > 0 for streaming, zero discarded
+# parts, and the speedup bar, exiting non-zero on any violation.
 cargo run --release -q -p fm-bench --bin table_e17_stream -- --quick --no-json >/dev/null
 
 echo "== session-smoke: open → edits → warm tune, parity vs cold =="
@@ -133,26 +136,47 @@ for workload in search-wide large-graph anneal-refine session-stream; do
         --workload "$workload" --seed 7 --seconds 3 --trace 0 >/dev/null
 done
 
-echo "== serve-smoke: daemon + example over the wire =="
-# Launch the real daemon on an ephemeral port, run the example against
-# it (FM_SERVE_SHUTDOWN=1 makes the example request the drain), and
-# check both sides exit cleanly.
+echo "== serve-smoke: daemon + fleet coordinator + example over the wire =="
+# Launch the real daemon on an ephemeral port, then a second daemon
+# coordinating a one-shard fleet over it. The example runs an uncached
+# (hence fleet-eligible) tune through the coordinator, then a cached one
+# against the daemon directly; FM_SERVE_SHUTDOWN=1 makes each run
+# request its server's drain. Both daemons must exit cleanly, and the
+# coordinator's exit summary must report exactly one fleet tune.
 cargo build --release -q -p fm-serve --bin fm-serve
+cargo build --release -q --example mapping_service
 serve_log="$(mktemp)"
+coord_log="$(mktemp)"
+serve_pid=""
+coord_pid=""
+trap 'kill $serve_pid $coord_pid 2>/dev/null || true; rm -f "$serve_log" "$coord_log"' EXIT
+# Wait for the "fm-serve listening on ADDR" banner in log $1.
+listen_addr() {
+    local addr=""
+    for _ in $(seq 1 50); do
+        addr="$(sed -n 's/^fm-serve listening on \([^ ]*\).*/\1/p' "$1")"
+        [ -n "$addr" ] && break
+        sleep 0.1
+    done
+    echo "$addr"
+}
 ./target/release/fm-serve --addr 127.0.0.1:0 >"$serve_log" &
 serve_pid=$!
-trap 'kill "$serve_pid" 2>/dev/null || true; rm -f "$serve_log"' EXIT
-serve_addr=""
-for _ in $(seq 1 50); do
-    serve_addr="$(sed -n 's/^fm-serve listening on //p' "$serve_log")"
-    [ -n "$serve_addr" ] && break
-    sleep 0.1
-done
+serve_addr="$(listen_addr "$serve_log")"
 [ -n "$serve_addr" ] || { echo "serve-smoke: daemon never reported its address"; exit 1; }
+./target/release/fm-serve --addr 127.0.0.1:0 --fleet "$serve_addr" >"$coord_log" &
+coord_pid=$!
+coord_addr="$(listen_addr "$coord_log")"
+[ -n "$coord_addr" ] || { echo "serve-smoke: coordinator never reported its address"; exit 1; }
+FM_SERVE_ADDR="$coord_addr" FM_SERVE_UNCACHED=1 FM_SERVE_SHUTDOWN=1 \
+    ./target/release/examples/mapping_service >/dev/null
+wait "$coord_pid" || { echo "serve-smoke: coordinator exited non-zero"; exit 1; }
+grep -q '^fm-serve: fleet — .*, 1 tunes,' "$coord_log" \
+    || { echo "serve-smoke: coordinator did not report one fleet tune"; cat "$coord_log"; exit 1; }
 FM_SERVE_ADDR="$serve_addr" FM_SERVE_SHUTDOWN=1 \
-    cargo run --release -q --example mapping_service >/dev/null
+    ./target/release/examples/mapping_service >/dev/null
 wait "$serve_pid" || { echo "serve-smoke: daemon exited non-zero"; exit 1; }
 trap - EXIT
-rm -f "$serve_log"
+rm -f "$serve_log" "$coord_log"
 
 echo "ci: all green"

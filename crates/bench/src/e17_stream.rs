@@ -1,19 +1,25 @@
 //! **E17 — streaming shard replies + latency-weighted partitioning**
-//! (`fm-serve --fleet --stream-every K --weighted on`).
+//! (`fm-serve --fleet`).
 //!
 //! The fleet's tail-latency fix, measured: a 2-shard topology where
 //! shard 0 is a *scripted straggler* (the server's deterministic
-//! `straggle_ms_per_candidate` hook slows its per-candidate compute;
-//! the slowdown applies identically on the blocking and streaming
-//! paths, so the protocols race on even terms). The same sequence of
-//! tunes runs through the classic blocking fleet path
-//! (`stream_every = None`, equal split) and through streaming +
-//! weighted partitioning. Blocking pays the straggler's full range on
-//! *every* tune; streaming banks the straggler's finished prefix as
-//! sealed `TuneShardPart` frames, hedges only the unfinished suffix,
-//! and — because part arrival times feed the per-shard EWMA throughput
-//! tracker that persists across requests — every tune after the first
-//! hands the straggler a proportionally tiny range to begin with.
+//! `straggle_ms_per_candidate` hook slows its per-candidate compute,
+//! identically in both rows, so they race on even terms). The same
+//! sequence of tunes runs twice through the one fleet path:
+//!
+//! * **blocking** — the baseline of a fleet without streaming or
+//!   weights: `stream_every = ncand`, so every range is a single chunk,
+//!   and a fresh coordinator per tune, so its weights are always cold
+//!   and every split is the equal split. Only the tunes are timed, not
+//!   the coordinator start-ups. It pays the straggler's full range on
+//!   *every* tune.
+//! * **streaming+weighted** — one long-lived coordinator with
+//!   `stream_every = 4`: it banks the straggler's finished prefix as
+//!   sealed `TuneShardPart` frames, hedges only the unfinished suffix,
+//!   and — because part arrival times feed the per-shard EWMA
+//!   throughput tracker that persists across requests — every tune
+//!   after the first hands the straggler a proportionally tiny range to
+//!   begin with.
 //!
 //! The invariant is unchanged and checked per tune: bit-identical
 //! winner to a single-machine `Tuner::tune`, and zero streamed-prefix
@@ -46,7 +52,8 @@ pub struct Row {
     pub scenario: String,
     /// Tunes issued sequentially (all completed).
     pub tunes: u64,
-    /// Wall-clock for the whole tune sequence, milliseconds.
+    /// Sum of the per-tune latencies, milliseconds (coordinator
+    /// start-ups are not timed).
     pub total_wall_ms: f64,
     /// Median per-tune latency, milliseconds.
     pub p50_ms: f64,
@@ -113,7 +120,8 @@ fn quantile_ms(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-/// Issue `tunes` identical tunes sequentially, checking each winner.
+/// Issue `tunes` identical tunes sequentially, returning each tune's
+/// latency and whether every winner matched `expected`.
 fn drive(
     addr: std::net::SocketAddr,
     graph: &DataflowGraph,
@@ -121,11 +129,10 @@ fn drive(
     ncand: usize,
     tunes: usize,
     expected: &TunedMapping,
-) -> (Vec<f64>, f64, bool) {
+) -> (Vec<f64>, bool) {
     let mut client = Client::connect(addr).expect("connect");
     let mut lat = Vec::with_capacity(tunes);
     let mut identical = true;
-    let t0 = Instant::now();
     for _ in 0..tunes {
         let t = Instant::now();
         let reply = client
@@ -148,23 +155,25 @@ fn drive(
             && best.score.to_bits() == expected.score.to_bits()
             && best.resolved == expected.resolved;
     }
-    let wall = t0.elapsed().as_secs_f64() * 1e3;
-    lat.sort_by(|a, b| a.total_cmp(b));
-    (lat, wall, identical)
+    (lat, identical)
 }
 
-fn row(scenario: &str, lat: &[f64], wall_ms: f64, fleet: &FleetStatsReply, ok: bool) -> Row {
+/// One row from per-tune latencies (the total is their sum) and the
+/// fleet counters of every coordinator that served them.
+fn row(scenario: &str, mut lat: Vec<f64>, fleets: &[FleetStatsReply], ok: bool) -> Row {
+    lat.sort_by(|a, b| a.total_cmp(b));
+    let sum = |counter: fn(&FleetStatsReply) -> u64| fleets.iter().map(counter).sum();
     Row {
         scenario: scenario.to_string(),
         tunes: lat.len() as u64,
-        total_wall_ms: wall_ms,
-        p50_ms: quantile_ms(lat, 0.50),
+        total_wall_ms: lat.iter().sum(),
+        p50_ms: quantile_ms(&lat, 0.50),
         max_ms: lat.last().copied().unwrap_or(0.0),
-        parts_merged: fleet.parts_merged,
-        parts_discarded: fleet.parts_discarded,
-        suffix_redispatches: fleet.suffix_redispatches,
-        prefix_candidates_saved: fleet.prefix_candidates_saved,
-        hedges: fleet.hedges,
+        parts_merged: sum(|f| f.parts_merged),
+        parts_discarded: sum(|f| f.parts_discarded),
+        suffix_redispatches: sum(|f| f.suffix_redispatches),
+        prefix_candidates_saved: sum(|f| f.prefix_candidates_saved),
+        hedges: sum(|f| f.hedges),
         speedup_vs_blocking: 1.0,
         winner_bit_identical: ok,
     }
@@ -194,43 +203,50 @@ pub fn run(quick: bool) -> Vec<Row> {
             })
             .collect()
     };
-    let fleet_config = |addrs: Vec<String>, streaming: bool| -> FleetConfig {
-        let mut f = FleetConfig::new(addrs);
+    let start_coordinator = |addrs: &[String], stream_every: u64| -> ServerHandle {
+        let mut f = FleetConfig::new(addrs.to_vec());
         f.connect_timeout = Duration::from_millis(200);
         f.attempt_timeout = Duration::from_secs(5);
         f.backoff_base = Duration::from_millis(5);
         f.backoff_max = Duration::from_millis(40);
         f.hedge_after = Some(Duration::from_millis(250));
-        f.stream_every = streaming.then_some(4);
-        f.weighted = streaming;
-        f
+        f.stream_every = stream_every;
+        let config = ServerConfig {
+            fleet: Some(f),
+            ..ServerConfig::default()
+        };
+        Server::start("127.0.0.1:0", config).expect("bind coordinator")
     };
 
     let mut rows = Vec::new();
     for (scenario, streaming) in [("blocking", false), ("streaming+weighted", true)] {
         let shards = start_shards();
-        let addrs = shards.iter().map(|s| s.local_addr().to_string()).collect();
-        let config = ServerConfig {
-            fleet: Some(fleet_config(addrs, streaming)),
-            ..ServerConfig::default()
+        let addrs: Vec<String> = shards.iter().map(|s| s.local_addr().to_string()).collect();
+        // The baseline gets one chunk per range and a fresh (cold,
+        // hence equally split) coordinator per tune; streaming keeps
+        // one coordinator, and so its weights, for the whole sequence.
+        let (stream_every, tunes_per_coordinator) = if streaming {
+            (4, tunes)
+        } else {
+            (ncand as u64, 1)
         };
-        let coord = Server::start("127.0.0.1:0", config).expect("bind coordinator");
-        let (lat, wall, ok) = drive(
-            coord.local_addr(),
-            &graph,
-            &machine,
-            ncand,
-            tunes,
-            &expected,
-        );
-        let stats = coord.shutdown_and_join();
-        rows.push(row(
-            scenario,
-            &lat,
-            wall,
-            stats.fleet.as_ref().expect("coordinator exports fleet"),
-            ok,
-        ));
+        let (mut lat, mut ok, mut fleets) = (Vec::new(), true, Vec::new());
+        for _ in 0..tunes / tunes_per_coordinator {
+            let coord = start_coordinator(&addrs, stream_every);
+            let (l, same) = drive(
+                coord.local_addr(),
+                &graph,
+                &machine,
+                ncand,
+                tunes_per_coordinator,
+                &expected,
+            );
+            lat.extend(l);
+            ok &= same;
+            let stats = coord.shutdown_and_join();
+            fleets.push(stats.fleet.expect("coordinator exports fleet"));
+        }
+        rows.push(row(scenario, lat, &fleets, ok));
         for s in shards {
             s.shutdown_and_join();
         }
@@ -310,7 +326,11 @@ mod tests {
         }
         let blocking = &rows[0];
         let streaming = &rows[1];
-        assert_eq!(blocking.parts_merged, 0, "blocking path must not stream");
+        // One chunk per range: the baseline never banks a partial range.
+        assert!(
+            blocking.prefix_candidates_saved == 0 && blocking.suffix_redispatches == 0,
+            "blocking baseline banked a partial range"
+        );
         assert!(
             streaming.parts_merged > 0,
             "streaming path produced no parts"

@@ -160,7 +160,7 @@ fn base_fleet(addrs: Vec<String>) -> FleetConfig {
     // machinery (cliff detector, membership, ledger) from the
     // pre-existing straggler hedge.
     f.hedge_after = None;
-    f.stream_every = Some(4);
+    f.stream_every = 4;
     f
 }
 

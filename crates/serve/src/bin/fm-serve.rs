@@ -6,16 +6,15 @@
 //!          [--session-ttl SECS] [--dedup on|off]
 //!          [--fleet HOST:PORT,...] [--fleet-attempts N]
 //!          [--fleet-connect-ms MS] [--fleet-hedge-ms MS]
-//!          [--stream-every K] [--weighted on|off]
 //!          [--fleet-admit HOST:PORT,...] [--fleet-ledger PATH]
-//!          [--weight-decay-tunes N] [--cliff-fraction F]
-//!          [--cliff-stall-ms MS]
+//!          [--cliff-fraction F] [--cliff-stall-ms MS]
 //! ```
 //!
 //! With `--fleet`, this instance becomes a coordinator: eligible
 //! `Tune` requests are partitioned across the listed backend shards
-//! and merged by `(score, index)`; everything else (and every tune
-//! when the shards are down) is served locally.
+//! (sized by each shard's measured throughput), streamed back in
+//! sealed chunks and merged by `(score, index)`; everything else (and
+//! every tune when the shards are down) is served locally.
 //!
 //! The daemon runs until it receives a wire `Shutdown` request, then
 //! drains admitted work and exits, printing a final stats summary.
@@ -33,10 +32,8 @@ fn usage() -> ! {
          \x20               [--session-ttl SECS] [--dedup on|off]\n\
          \x20               [--fleet HOST:PORT,...] [--fleet-attempts N]\n\
          \x20               [--fleet-connect-ms MS] [--fleet-hedge-ms MS]\n\
-         \x20               [--stream-every K] [--weighted on|off]\n\
          \x20               [--fleet-admit HOST:PORT,...] [--fleet-ledger PATH]\n\
-         \x20               [--weight-decay-tunes N] [--cliff-fraction F]\n\
-         \x20               [--cliff-stall-ms MS]\n\
+         \x20               [--cliff-fraction F] [--cliff-stall-ms MS]\n\
          \n\
          \x20 --addr HOST:PORT   bind address (default 127.0.0.1:7171; port 0 = ephemeral)\n\
          \x20 --workers N        request worker threads (default 2)\n\
@@ -54,19 +51,11 @@ fn usage() -> ! {
          \x20 --fleet-connect-ms MS    per-attempt connect timeout (default 250)\n\
          \x20 --fleet-hedge-ms MS      hedge stragglers after MS; 0 disables\n\
          \x20                          (default 500)\n\
-         \x20 --stream-every K         shards stream a sealed partial result every K\n\
-         \x20                          evaluated candidates; 0 = classic blocking\n\
-         \x20                          replies (default 16)\n\
-         \x20 --weighted on|off        size shard ranges by observed per-shard EWMA\n\
-         \x20                          throughput instead of equally (default on)\n\
          \x20 --fleet-admit A,B,...    additionally admit these shards at startup\n\
          \x20                          (same as ShardJoin requests; bumps the epoch)\n\
          \x20 --fleet-ledger PATH      persist per-shard EWMA weights + breaker state\n\
          \x20                          to this JSON file across coordinator restarts\n\
          \x20                          (corrupt or stale ledgers fall back to cold)\n\
-         \x20 --weight-decay-tunes N   decay a shard's weight toward uniform after N\n\
-         \x20                          tunes without a fresh sample; 0 = never\n\
-         \x20                          (default 64)\n\
          \x20 --cliff-fraction F       re-dispatch a range's suffix when its shard's\n\
          \x20                          throughput falls below F x trailing peak while\n\
          \x20                          the watermark stalls; 0 disables (default 0.35)\n\
@@ -93,11 +82,8 @@ fn main() -> ExitCode {
     let mut fleet_attempts: Option<u32> = None;
     let mut fleet_connect_ms: Option<u64> = None;
     let mut fleet_hedge_ms: Option<u64> = None;
-    let mut stream_every: Option<u64> = None;
-    let mut weighted: Option<bool> = None;
     let mut fleet_admit: Option<Vec<String>> = None;
     let mut fleet_ledger: Option<String> = None;
-    let mut weight_decay_tunes: Option<u64> = None;
     let mut cliff_fraction: Option<f64> = None;
     let mut cliff_stall_ms: Option<u64> = None;
 
@@ -152,15 +138,6 @@ fn main() -> ExitCode {
                 fleet_connect_ms = Some(parse_num("--fleet-connect-ms", args.next()))
             }
             "--fleet-hedge-ms" => fleet_hedge_ms = Some(parse_num("--fleet-hedge-ms", args.next())),
-            "--stream-every" => stream_every = Some(parse_num("--stream-every", args.next())),
-            "--weighted" => match args.next().as_deref() {
-                Some("on") => weighted = Some(true),
-                Some("off") => weighted = Some(false),
-                _ => {
-                    eprintln!("fm-serve: --weighted needs `on` or `off`");
-                    usage();
-                }
-            },
             "--fleet-admit" => match args.next() {
                 Some(list) => {
                     let extra: Vec<String> = list
@@ -181,9 +158,6 @@ fn main() -> ExitCode {
                 Some(path) => fleet_ledger = Some(path),
                 None => usage(),
             },
-            "--weight-decay-tunes" => {
-                weight_decay_tunes = Some(parse_num("--weight-decay-tunes", args.next()))
-            }
             "--cliff-fraction" => cliff_fraction = Some(parse_num("--cliff-fraction", args.next())),
             "--cliff-stall-ms" => cliff_stall_ms = Some(parse_num("--cliff-stall-ms", args.next())),
             "--help" | "-h" => usage(),
@@ -205,20 +179,11 @@ fn main() -> ExitCode {
         if let Some(ms) = fleet_hedge_ms {
             fleet.hedge_after = (ms > 0).then(|| Duration::from_millis(ms));
         }
-        if let Some(k) = stream_every {
-            fleet.stream_every = (k > 0).then_some(k);
-        }
-        if let Some(w) = weighted {
-            fleet.weighted = w;
-        }
         if let Some(extra) = fleet_admit {
             fleet.admit = extra;
         }
         if let Some(path) = fleet_ledger {
             fleet.weight_ledger = Some(path.into());
-        }
-        if let Some(n) = weight_decay_tunes {
-            fleet.weight_decay_tunes = n;
         }
         if let Some(f) = cliff_fraction {
             if !(0.0..=1.0).contains(&f) {
@@ -234,11 +199,8 @@ fn main() -> ExitCode {
     } else if fleet_attempts.is_some()
         || fleet_connect_ms.is_some()
         || fleet_hedge_ms.is_some()
-        || stream_every.is_some()
-        || weighted.is_some()
         || fleet_admit.is_some()
         || fleet_ledger.is_some()
-        || weight_decay_tunes.is_some()
         || cliff_fraction.is_some()
         || cliff_stall_ms.is_some()
     {

@@ -63,9 +63,10 @@ pub enum FaultAction {
     /// was already delivered.
     TruncateFrame(u32),
     /// Forward everything, but sleep this many milliseconds before
-    /// each reply frame: a shard whose *stream* is slow. Blocking
-    /// coordinators see one big stall; streaming coordinators watch
-    /// the covered watermark crawl and can judge the shard per frame.
+    /// each reply frame: a shard whose *stream* is slow. A one-chunk
+    /// range sees one big stall; a many-chunk stream lets the
+    /// coordinator watch the covered watermark crawl and judge the
+    /// shard per frame.
     StallBetweenFrames(u64),
     /// Forward reply frames at full speed until frame `after_frame`
     /// (0-based); from then on, sleep `ms_per_candidate` milliseconds

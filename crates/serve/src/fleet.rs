@@ -32,22 +32,25 @@
 //!   winner ([`Tuner::refine_winner`]) is bit-equal to a local tune
 //!   applying it to the same winner.
 //!
-//! **Streaming** (`stream_every = Some(k)`): shards announce each
-//! finished chunk of `k` candidates as a sealed
-//! [`TuneShardPart`] frame. The coordinator folds verified parts into
-//! a per-range *covered watermark*; when an attempt then dies, only
-//! the uncovered suffix is re-dispatched (retry, hedge, or local
-//! fallback), and the moment a range is fully covered every other
-//! attempt on it is abandoned — dropping the socket is what tells the
-//! shard to cancel its remaining sub-search.
+//! **Streaming**: every shard range is evaluated in chunks of
+//! [`FleetConfig::stream_every`] candidates, and the shard announces
+//! each finished chunk as a sealed [`TuneShardPart`] frame. The
+//! coordinator folds verified parts into a per-range *covered
+//! watermark*; when an attempt then dies, only the uncovered suffix is
+//! re-dispatched (retry, hedge, or local fallback), and the moment a
+//! range is fully covered every other attempt on it is abandoned —
+//! dropping the socket is what tells the shard to cancel its remaining
+//! sub-search. A `stream_every` at least the range size makes each
+//! range a single part, so nothing is banked until the range is done.
 //!
-//! **Latency-weighted partitioning** (`weighted = true`): part and
-//! reply arrival times feed a per-shard EWMA throughput tracker in the
-//! metrics registry (persisted across requests); range sizes are then
-//! apportioned to shards by largest-remainder on those weights, so a
-//! chronically slow shard gets a proportionally small range instead of
-//! stalling the whole tune. Cold shards inherit the warm mean; an
-//! all-cold fleet deterministically degenerates to the equal split.
+//! **Latency-weighted partitioning**: part and reply arrival times
+//! feed a per-shard EWMA throughput tracker in the metrics registry
+//! (persisted across requests); range sizes are then apportioned to
+//! shards by largest-remainder on those weights, so a chronically slow
+//! shard gets a proportionally small range instead of stalling the
+//! whole tune. Cold shards inherit the warm mean; an all-cold fleet
+//! deterministically gets the equal split. An empty roster is one
+//! range with no member, which goes straight to the local fallback.
 //!
 //! Robustness plumbing, per sub-range: bounded retries with
 //! exponential backoff and deterministic jitter, hedged duplicate
@@ -103,8 +106,7 @@ pub struct FleetConfig {
     pub connect_timeout: Duration,
     /// Inactivity cap on one attempt: the time budget to the *next*
     /// frame (streamed part or terminal reply), reset whenever a
-    /// verified frame arrives. For blocking attempts this is the
-    /// end-to-end cap it always was.
+    /// verified frame arrives.
     pub attempt_timeout: Duration,
     /// Waves of attempts per sub-range before giving up on the network
     /// and evaluating the (remaining) range locally.
@@ -123,19 +125,10 @@ pub struct FleetConfig {
     /// How long an open breaker quarantines its shard before the
     /// half-open probe.
     pub breaker_cooldown: Duration,
-    /// Minimum candidates per sub-range: below `2 ×` this a request is
-    /// not worth sharding at all, and the partitioner never cuts a
-    /// range smaller than this (weighted or not).
-    pub min_shard_candidates: usize,
-    /// Seed for deterministic backoff jitter (and nothing else — the
-    /// *answer* never depends on it).
-    pub jitter_seed: u64,
     /// Ask shards to stream a sealed part every this many evaluated
-    /// candidates. `None` (or `Some(0)`) restores the blocking
-    /// one-reply-per-range protocol.
-    pub stream_every: Option<u64>,
-    /// Size ranges by per-shard EWMA throughput instead of equally.
-    pub weighted: bool,
+    /// candidates (`0` is read as `1`). A value at least the range
+    /// size makes each range a single part.
+    pub stream_every: u64,
     /// Encode shard-link requests with the compact binary envelope
     /// (reply frames are sniffed per frame, so shards may answer in
     /// either encoding). A shard that rejects binary with a protocol
@@ -157,9 +150,6 @@ pub struct FleetConfig {
     /// time; quarantining routes primaries elsewhere until the
     /// half-open probe shows it recovered. `0` disables quarantine.
     pub cliff_quarantine_trips: u32,
-    /// Fleet tunes without a fresh sample before a member's persisted
-    /// weight decays fully back to cold (`0` disables decay).
-    pub weight_decay_tunes: u64,
     /// Path of the crash-persistent weight ledger (`None` disables
     /// persistence). Written after every fleet tune; read once at
     /// startup with the autotune cache's corrupt-tolerant discipline.
@@ -169,6 +159,19 @@ pub struct FleetConfig {
     /// `ShardJoin` frame per address.
     pub admit: Vec<String>,
 }
+
+/// Minimum candidates per sub-range: below `2 ×` this a request is not
+/// worth sharding at all, and the partitioner never cuts a range
+/// smaller than this.
+const MIN_SHARD_CANDIDATES: usize = 2;
+
+/// Seed for deterministic backoff jitter (and nothing else — the
+/// *answer* never depends on it).
+const JITTER_SEED: u64 = 0x5EED;
+
+/// Fleet tunes without a fresh sample before a member's persisted
+/// weight decays fully back to cold.
+const WEIGHT_DECAY_TUNES: u64 = 64;
 
 impl FleetConfig {
     /// Default tunables in front of `shards`.
@@ -183,15 +186,11 @@ impl FleetConfig {
             hedge_after: Some(Duration::from_millis(500)),
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_secs(2),
-            min_shard_candidates: 2,
-            jitter_seed: 0x5EED,
-            stream_every: Some(16),
-            weighted: true,
+            stream_every: 16,
             binary_links: true,
             cliff_fraction: 0.35,
             cliff_stall: Duration::from_millis(200),
             cliff_quarantine_trips: 3,
-            weight_decay_tunes: 64,
             weight_ledger: None,
             admit: Vec::new(),
         }
@@ -238,7 +237,8 @@ struct RangeShared {
     hi: usize,
     epoch: u64,
     deadline: Option<Instant>,
-    stream_every: Option<u64>,
+    /// Chunk size every attempt asks its shard to stream (`>= 1`).
+    stream_every: u64,
     /// Cost backend name forwarded verbatim to every shard attempt
     /// (validated at coordinator admission).
     cost_model: Option<String>,
@@ -382,8 +382,8 @@ enum AttemptEnd {
     /// Transport/verification failure; any parts this attempt merged
     /// before failing remain merged (`saved` counts them).
     Failed {
-        /// Candidates this attempt streamed back before dying — work a
-        /// blocking protocol would have discarded.
+        /// Candidates this attempt streamed back before dying — work
+        /// the suffix re-dispatch does not repeat.
         saved: u64,
     },
     /// The range resolved elsewhere or the tune was cancelled — exit
@@ -401,7 +401,7 @@ impl Fleet {
             &config.shards,
             Arc::clone(&metrics),
             config.weight_ledger.clone(),
-            config.weight_decay_tunes,
+            WEIGHT_DECAY_TUNES,
             config.breaker_cooldown,
         );
         for addr in &config.admit {
@@ -452,7 +452,7 @@ impl Fleet {
     pub fn eligible(&self, req: &TuneRequest) -> bool {
         req.convergence_window.is_none()
             && !req.use_cache
-            && req.candidates.len() >= self.config.min_shard_candidates.max(1) * 2
+            && req.candidates.len() >= MIN_SHARD_CANDIDATES * 2
     }
 
     /// May an attempt go to `member` right now? Closed passes; open
@@ -572,11 +572,14 @@ impl Fleet {
         None
     }
 
-    /// Run one `Tune` request through the fleet. Exact same reply
-    /// contract as the local path, minus cache participation.
+    /// Run one `Tune` request through the fleet, charging every
+    /// candidate under `cost_model` (the request's backend, validated
+    /// at admission). Exact same reply contract as the local path,
+    /// minus cache participation.
     pub fn tune(
         self: &Arc<Fleet>,
         req: &TuneRequest,
+        cost_model: CostModelKind,
         cancel: &CancelToken,
         deadline: Option<Instant>,
         pool: &ThreadPool,
@@ -590,14 +593,9 @@ impl Fleet {
         let cap = req
             .max_candidates
             .map_or(offered, |n| (n as usize).min(offered));
-        // The coordinator's model was validated at admission; local
-        // fallback evaluation must charge the same backend the shards
-        // were asked for, or merged winners would mix scoring rules.
-        let cost_model = req
-            .cost_model
-            .as_deref()
-            .and_then(CostModelKind::from_name)
-            .unwrap_or_default();
+        // Local fallback evaluation must charge the same backend the
+        // shards were asked for, or merged winners would mix scoring
+        // rules.
         let evaluator = Evaluator::new(&req.graph, &req.machine).with_cost_model(cost_model);
         let local_candidates: Vec<MappingCandidate> = req.candidates[..cap]
             .iter()
@@ -606,57 +604,19 @@ impl Fleet {
 
         // Freeze the roster for partitioning; attempts inside each
         // range still consult the live roster, so members joining
-        // mid-tune pick up re-dispatched suffixes.
+        // mid-tune pick up re-dispatched suffixes. A roster churned
+        // down to zero members is one range with no preferred member:
+        // it finds nobody to dispatch to and runs the local fallback.
         let roster = self.membership.roster();
-        if roster.is_empty() {
-            // Churned down to zero members: coordinator-local
-            // evaluation. Slower, same answer.
-            self.metrics.degraded_tunes.fetch_add(1, Ordering::Relaxed);
-            let mut budget = Budget::unlimited();
-            if let Some(d) = deadline {
-                budget.deadline = Some(d.saturating_duration_since(Instant::now()));
-            }
-            let report = Tuner::new(&evaluator, &req.graph, &req.machine, req.fom)
-                .with_pool(pool)
-                .with_budget(budget)
-                .with_cancel(cancel.clone())
-                .tune(&local_candidates);
-            let mut best = report.best;
-            if let Some(b) = best.as_mut() {
-                if !report.cancelled {
-                    if let Some(r) = req.refinement {
-                        Tuner::new(&evaluator, &req.graph, &req.machine, req.fom)
-                            .with_pool(pool)
-                            .with_refinement(r)
-                            .refine_winner(b);
-                    }
-                }
-            }
-            self.membership.persist();
-            return TuneReply {
-                best,
-                offered: offered as u64,
-                evaluated: report.evaluated as u64,
-                pruned: (offered as u64).saturating_sub(report.evaluated as u64),
-                cache: "disabled".to_string(),
-                fell_back: report.fell_back,
-                cancelled: report.cancelled,
-                wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            };
-        }
-        let plan: Vec<(usize, usize, usize)> = if self.config.weighted {
+        let plan = if roster.is_empty() {
+            vec![(0, cap, 0)]
+        } else {
             partition_weighted(
                 cap,
                 roster.len(),
-                self.config.min_shard_candidates,
+                MIN_SHARD_CANDIDATES,
                 &self.membership.live_weights(&roster),
             )
-        } else {
-            partition(cap, roster.len(), self.config.min_shard_candidates)
-                .into_iter()
-                .enumerate()
-                .map(|(i, (lo, hi))| (lo, hi, i % roster.len().max(1)))
-                .collect()
         };
         let outcomes: Vec<RangeOutcome> = std::thread::scope(|s| {
             let handles: Vec<_> = plan
@@ -667,7 +627,7 @@ impl Fleet {
                     let req = &*req;
                     let locals = &local_candidates[lo..hi];
                     let evaluator = &evaluator;
-                    let preferred = Arc::clone(&roster[preferred_pos]);
+                    let preferred = roster.get(preferred_pos).cloned();
                     s.spawn(move || {
                         run_range(
                             &fleet,
@@ -769,25 +729,6 @@ impl Fleet {
     }
 }
 
-/// Split `[0, cap)` into at most `nshards` contiguous ranges of at
-/// least `min_per` candidates each (the last takes the remainder).
-fn partition(cap: usize, nshards: usize, min_per: usize) -> Vec<(usize, usize)> {
-    if cap == 0 || nshards == 0 {
-        return Vec::new();
-    }
-    let nranges = (cap / min_per.max(1)).clamp(1, nshards);
-    let base = cap / nranges;
-    let extra = cap % nranges;
-    let mut ranges = Vec::with_capacity(nranges);
-    let mut lo = 0;
-    for i in 0..nranges {
-        let len = base + usize::from(i < extra);
-        ranges.push((lo, lo + len));
-        lo += len;
-    }
-    ranges
-}
-
 /// Latency-weighted split: `[0, cap)` into at most `nshards`
 /// contiguous ranges sized by largest-remainder apportionment over
 /// per-shard EWMA throughput `weights` (candidates/second; 0 = cold).
@@ -795,8 +736,9 @@ fn partition(cap: usize, nshards: usize, min_per: usize) -> Vec<(usize, usize)> 
 ///
 /// Deterministic fallbacks keep cold starts exact: a cold shard's
 /// weight is the mean of the warm ones, and an all-cold (or uniform)
-/// fleet produces byte-identical sizes to [`partition`], preferring
-/// shards in index order. `min_per` is enforced after apportionment by
+/// fleet gets the equal split — `cap / nranges` each, the first
+/// `cap % nranges` ranges one larger — with range `i` preferring shard
+/// `i`. `min_per` is enforced after apportionment by
 /// transferring candidates from the largest range, so a near-zero
 /// weight shrinks a range to the floor, never below it.
 fn partition_weighted(
@@ -829,8 +771,7 @@ fn partition_weighted(
         }
     }
     // Fastest `nranges` shards get the work; ties prefer lower index
-    // (which also makes the uniform case identical to the unweighted
-    // round-robin placement).
+    // (so uniform weights place range `i` on shard `i`).
     let mut order: Vec<usize> = (0..nshards).collect();
     order.sort_by(|&a, &b| {
         w[b].partial_cmp(&w[a])
@@ -841,8 +782,7 @@ fn partition_weighted(
     chosen.sort_unstable();
     // Largest-remainder apportionment of `cap` over the chosen
     // weights. With uniform weights every remainder ties and the
-    // leftovers go to the lowest positions — exactly `partition`'s
-    // `i < extra` rule.
+    // leftovers go to the lowest positions: the equal split.
     let total: f64 = chosen.iter().map(|&i| w[i]).sum();
     let mut sizes: Vec<usize> = Vec::with_capacity(nranges);
     let mut rems: Vec<(f64, usize)> = Vec::with_capacity(nranges);
@@ -909,8 +849,7 @@ fn backoff_with_jitter(config: &FleetConfig, epoch: u64, range: usize, wave: u32
         .min(config.backoff_max);
     let half = exp.as_nanos().max(2) as u64 / 2;
     let jitter =
-        mix64(config.jitter_seed ^ epoch.rotate_left(17) ^ (range as u64) << 8 ^ wave as u64)
-            % half;
+        mix64(JITTER_SEED ^ epoch.rotate_left(17) ^ (range as u64) << 8 ^ wave as u64) % half;
     exp / 2 + Duration::from_nanos(half / 2 + jitter / 2) // in [exp/2, exp]
 }
 
@@ -928,7 +867,7 @@ fn run_range(
     lo: usize,
     hi: usize,
     range_idx: usize,
-    preferred: Arc<Member>,
+    preferred: Option<Arc<Member>>,
     preferred_pos: usize,
     epoch: u64,
     deadline: Option<Instant>,
@@ -944,7 +883,7 @@ fn run_range(
         hi,
         epoch,
         deadline,
-        stream_every: fleet.config.stream_every.filter(|&k| k > 0),
+        stream_every: fleet.config.stream_every.max(1),
         cost_model: req.cost_model.clone(),
         progress: Mutex::new(Progress {
             covered: lo,
@@ -1009,7 +948,8 @@ fn run_range(
                     if was_hedge {
                         fleet.metrics.hedge_wins.fetch_add(1, Ordering::Relaxed);
                     }
-                    return range.outcome(false, !Arc::ptr_eq(&member, &preferred), false);
+                    let reassigned = preferred.as_ref().is_none_or(|p| !Arc::ptr_eq(&member, p));
+                    return range.outcome(false, reassigned, false);
                 }
                 Ok((_, _, AttemptEnd::Failed { saved })) => {
                     if saved > 0 {
@@ -1076,14 +1016,15 @@ fn run_range(
                     // before the slow EWMA catches down to it.
                     let stalled = last_advance.elapsed();
                     let fraction = fleet.config.cliff_fraction;
-                    let in_cliff = fraction > 0.0 && stalled >= fleet.config.cliff_stall && {
-                        let m = &preferred.metrics;
-                        let (ewma, peak) = (m.ewma_rate(), m.peak_rate());
-                        let chunk = range.stream_every.unwrap_or((hi - lo) as u64).max(1);
-                        let implied = chunk as f64 / stalled.as_secs_f64();
-                        ewma > 0.0 && peak > 0.0 && ewma.min(implied) < fraction * peak
-                    };
-                    let cliff_fire = in_cliff
+                    let cliff_shard = preferred.as_ref().filter(|p| {
+                        fraction > 0.0 && stalled >= fleet.config.cliff_stall && {
+                            let (ewma, peak) = (p.metrics.ewma_rate(), p.metrics.peak_rate());
+                            let chunk = range.stream_every.min((hi - lo) as u64);
+                            let implied = chunk as f64 / stalled.as_secs_f64();
+                            ewma > 0.0 && peak > 0.0 && ewma.min(implied) < fraction * peak
+                        }
+                    });
+                    let cliff_fire = cliff_shard.is_some()
                         && match last_hedge {
                             None => true,
                             Some(at) => {
@@ -1093,30 +1034,31 @@ fn run_range(
                         };
                     if hedge_fire || cliff_fire {
                         if let Some(buddy) = fleet.next_available(&mut rotation, Some(&primary)) {
-                            if cliff_fire && !hedge_fire {
-                                fleet
-                                    .metrics
-                                    .cliff_redispatches
-                                    .fetch_add(1, Ordering::Relaxed);
-                                // Repeated collapse → quarantine: the
-                                // shard's attempts succeed (the
-                                // failure breaker never sees them),
-                                // so the cliff count is what takes a
-                                // chronically slow shard out of
-                                // rotation.
-                                let trips = preferred
-                                    .metrics
-                                    .cliff_trips
-                                    .fetch_add(1, Ordering::Relaxed)
-                                    + 1;
-                                let quarantine_at = fleet.config.cliff_quarantine_trips;
-                                if quarantine_at > 0
-                                    && trips.is_multiple_of(u64::from(quarantine_at))
-                                {
-                                    fleet.quarantine(&preferred);
+                            match cliff_shard {
+                                Some(shard) if cliff_fire && !hedge_fire => {
+                                    fleet
+                                        .metrics
+                                        .cliff_redispatches
+                                        .fetch_add(1, Ordering::Relaxed);
+                                    // Repeated collapse → quarantine: the
+                                    // shard's attempts succeed (the
+                                    // failure breaker never sees them),
+                                    // so the cliff count is what takes a
+                                    // chronically slow shard out of
+                                    // rotation.
+                                    let trips =
+                                        shard.metrics.cliff_trips.fetch_add(1, Ordering::Relaxed)
+                                            + 1;
+                                    let quarantine_at = fleet.config.cliff_quarantine_trips;
+                                    if quarantine_at > 0
+                                        && trips.is_multiple_of(u64::from(quarantine_at))
+                                    {
+                                        fleet.quarantine(shard);
+                                    }
                                 }
-                            } else {
-                                fleet.metrics.hedges.fetch_add(1, Ordering::Relaxed);
+                                _ => {
+                                    fleet.metrics.hedges.fetch_add(1, Ordering::Relaxed);
+                                }
                             }
                             spawn_attempt(buddy, true, covered_now);
                             in_flight += 1;
@@ -1233,7 +1175,7 @@ fn run_attempt(
         deadline_ms: range
             .deadline
             .map(|d| (d.saturating_duration_since(Instant::now()).as_millis() as u64).max(1)),
-        stream_every: range.stream_every,
+        stream_every: Some(range.stream_every),
         cost_model: range.cost_model.clone(),
     });
     let payload = if binary {
@@ -1252,8 +1194,8 @@ fn run_attempt(
     }
 
     // Per-frame consume loop. `saved` counts candidates this attempt
-    // merged; if the attempt later dies they are the streamed prefix a
-    // blocking protocol would have re-evaluated.
+    // merged; if the attempt later dies they are the streamed prefix
+    // the suffix re-dispatch does not re-evaluate.
     let mut saved = 0u64;
     let mut last_mark = Instant::now();
     let fail = |flaw: Option<&ShardReplyFlaw>, saved: u64| {
@@ -1373,30 +1315,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn partition_covers_exactly_and_respects_minimum() {
-        for cap in 0..40 {
-            for nshards in 1..6 {
-                let ranges = partition(cap, nshards, 3);
-                // Coverage: contiguous, exact.
-                let mut expect = 0;
-                for &(lo, hi) in &ranges {
-                    assert_eq!(lo, expect);
-                    assert!(hi > lo);
-                    expect = hi;
-                }
-                assert_eq!(expect, cap);
-                assert!(ranges.len() <= nshards);
-                // Minimum size (single-range lists may be smaller).
-                if ranges.len() > 1 {
-                    for &(lo, hi) in &ranges {
-                        assert!(hi - lo >= 3, "range {lo}..{hi} under minimum");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn weighted_partition_covers_exactly_and_respects_minimum() {
         let weight_sets: &[&[f64]] = &[
             &[],
@@ -1437,20 +1355,32 @@ mod tests {
 
     #[test]
     fn weighted_partition_degenerates_to_equal_split_when_uniform() {
+        // The equal split: as many ranges of at least 2 as fit, up to
+        // one per shard, the first `cap % nranges` one larger.
+        let equal_split = |cap: usize, nshards: usize| {
+            let nranges = (cap / 2).clamp(1, nshards);
+            let mut lo = 0;
+            (0..nranges)
+                .map(|i| {
+                    let len = cap / nranges + usize::from(i < cap % nranges);
+                    lo += len;
+                    (lo - len, lo)
+                })
+                .collect::<Vec<_>>()
+        };
         for cap in 1..60 {
             for nshards in 1..6 {
-                let equal = partition(cap, nshards, 2);
+                let equal = equal_split(cap, nshards);
                 for weights in [vec![], vec![5.0; nshards], vec![0.0; nshards]] {
                     let plan = partition_weighted(cap, nshards, 2, &weights);
                     let sizes: Vec<(usize, usize)> =
                         plan.iter().map(|&(lo, hi, _)| (lo, hi)).collect();
                     assert_eq!(
                         sizes, equal,
-                        "uniform weights {weights:?} must equal the plain split \
+                        "uniform weights {weights:?} must give the equal split \
                          (cap {cap}, {nshards} shards)"
                     );
-                    // And the placement is the old round-robin: range i
-                    // on shard i.
+                    // And the placement is range i on shard i.
                     for (i, &(_, _, shard)) in plan.iter().enumerate() {
                         assert_eq!(shard, i);
                     }
@@ -1493,7 +1423,7 @@ mod tests {
             hi: 16,
             epoch: 1,
             deadline: None,
-            stream_every: Some(4),
+            stream_every: 4,
             cost_model: None,
             progress: Mutex::new(Progress {
                 covered: 8,

@@ -797,7 +797,7 @@ pub struct FleetMetrics {
     pub suffix_redispatches: AtomicU64,
     /// Candidates whose evaluation was **not** repeated because a
     /// failed or abandoned attempt had already streamed them back —
-    /// the work a blocking protocol would have thrown away.
+    /// the work a single terminal reply would have thrown away.
     pub prefix_candidates_saved: AtomicU64,
 }
 

@@ -119,7 +119,8 @@ pub struct TuneShardRequest {
     /// Stream a checksummed [`TuneShardPart`] frame back every this
     /// many evaluated candidates, so the coordinator can merge a
     /// straggler's finished prefix incrementally instead of forfeiting
-    /// it. `None` (or 0) keeps the classic single blocking reply.
+    /// it. `None` (or 0) sweeps the range as one chunk and sends only
+    /// the terminal reply.
     pub stream_every: Option<u64>,
     /// Cost backend the coordinator's client asked for; shards must
     /// score under the same model or the merged winner would be

@@ -56,7 +56,7 @@ use crate::protocol::{
     SessionClosedReply, SessionEditRequest, SessionEditedReply, SessionOpenRequest,
     SessionOpenedReply, SessionTuneRequest, SessionTunedReply, ShardBest, SimulateReply,
     SimulateRequest, TuneReply, TuneRequest, TuneShardBody, TuneShardPart, TuneShardPartBody,
-    TuneShardReply, TuneShardRequest, WireError, BINARY_HEADER, DEFAULT_MAX_FRAME,
+    TuneShardReply, TuneShardRequest, WireCandidate, WireError, BINARY_HEADER, DEFAULT_MAX_FRAME,
     PROTOCOL_BINARY_VERSION,
 };
 use crate::session::{EditOutcome, SessionRegistry, SessionState};
@@ -85,10 +85,9 @@ pub struct ServerConfig {
     pub fleet: Option<FleetConfig>,
     /// Scripted per-candidate slowdown for `TuneShard` work, in
     /// milliseconds: a bench/chaos hook that makes *this* server a
-    /// deterministic straggler. Applied identically to blocking and
-    /// streamed shard replies (it models slow compute, not slow
-    /// frames), so comparisons between the two stay fair. `None` in
-    /// production.
+    /// deterministic straggler. Applied identically whatever the chunk
+    /// size (it models slow compute, not slow frames), so comparisons
+    /// between chunk sizes stay fair. `None` in production.
     pub straggle_ms_per_candidate: Option<u64>,
     /// Evict sessions idle for at least this long (no edit, tune, or
     /// close touched them). `None` keeps sessions until closed — fine
@@ -907,15 +906,7 @@ fn worker_main(shared: &Arc<Shared>) {
         };
 
         let response = catch_unwind(AssertUnwindSafe(|| match request {
-            Request::Tune(req) => match parse_cost_model(req.cost_model.as_deref()) {
-                Err(refusal) => Response::Failed(refusal),
-                Ok(_) => match &shared.fleet {
-                    Some(fleet) if fleet.eligible(&req) => {
-                        Response::Tuned(fleet.tune(&req, &cancel, deadline, &shared.pool))
-                    }
-                    _ => exec_tune(shared, req, &cancel, deadline),
-                },
-            },
+            Request::Tune(req) => exec_tune(shared, req, &cancel, deadline),
             Request::TuneShard(req) => exec_tune_shard(shared, req, &cancel, deadline, &reply),
             Request::Evaluate(_) | Request::Simulate(_) if expired => Response::Failed(FailReply {
                 kind: "deadline".to_string(),
@@ -982,70 +973,96 @@ fn worker_main(shared: &Arc<Shared>) {
     }
 }
 
+/// Answer one `Tune`: through the fleet when this server coordinates
+/// one and the request is eligible, locally otherwise. Either way the
+/// winner lands in the cost-model observatory.
 fn exec_tune(
     shared: &Shared,
-    req: TuneRequest,
+    mut req: TuneRequest,
     cancel: &CancelToken,
     deadline: Option<Instant>,
 ) -> Response {
+    let cost_model = match parse_cost_model(req.cost_model.as_deref()) {
+        Ok(kind) => kind,
+        Err(refusal) => return Response::Failed(refusal),
+    };
+    let reply = match &shared.fleet {
+        Some(fleet) if fleet.eligible(&req) => {
+            fleet.tune(&req, cost_model, cancel, deadline, &shared.pool)
+        }
+        _ => {
+            let candidates = std::mem::take(&mut req.candidates);
+            tune_locally(shared, &req, candidates, cost_model, cancel, deadline)
+        }
+    };
+    if let Some(best) = &reply.best {
+        let point = Evaluator::new(&req.graph, &req.machine)
+            .with_cost_model(cost_model)
+            .roofline(&best.report);
+        shared
+            .metrics
+            .cost_models
+            .observe(cost_model, &point, &best.report);
+    }
+    Response::Tuned(reply)
+}
+
+/// Run `req` (whose `candidates` the caller moved out into
+/// `candidates`) on this server's own tuner pool, through the tuning
+/// cache when the request asks for it.
+fn tune_locally(
+    shared: &Shared,
+    req: &TuneRequest,
+    candidates: Vec<WireCandidate>,
+    cost_model: CostModelKind,
+    cancel: &CancelToken,
+    deadline: Option<Instant>,
+) -> TuneReply {
     let TuneRequest {
         graph,
         machine,
         fom,
-        candidates,
         max_candidates,
         convergence_window,
         refinement,
         use_cache,
-        cost_model,
         ..
     } = req;
-    let cost_model = match parse_cost_model(cost_model.as_deref()) {
-        Ok(kind) => kind,
-        Err(refusal) => return Response::Failed(refusal),
-    };
-    let evaluator = Evaluator::new(&graph, &machine).with_cost_model(cost_model);
+    let evaluator = Evaluator::new(graph, machine).with_cost_model(cost_model);
     let candidates: Vec<MappingCandidate> = candidates
         .into_iter()
         .map(|c| MappingCandidate::new(c.label, c.mapping))
         .collect();
     let mut budget = Budget::unlimited();
     if let Some(n) = max_candidates {
-        budget.max_candidates = Some(n as usize);
+        budget.max_candidates = Some(*n as usize);
     }
     if let Some(w) = convergence_window {
-        budget.convergence_window = Some(w as usize);
+        budget.convergence_window = Some(*w as usize);
     }
     if let Some(d) = deadline {
         budget.deadline = Some(d.saturating_duration_since(Instant::now()));
     }
-    let mut tuner = Tuner::new(&evaluator, &graph, &machine, fom)
+    let mut tuner = Tuner::new(&evaluator, graph, machine, *fom)
         .with_pool(&shared.pool)
         .with_budget(budget)
         .with_cancel(cancel.clone());
     if let Some(r) = refinement {
-        tuner = tuner.with_refinement(r);
+        tuner = tuner.with_refinement(*r);
     }
-    if use_cache {
+    if *use_cache {
         if let Some(cache) = &shared.cache {
             tuner = tuner.with_cache(cache.clone());
         }
     }
     let report = tuner.tune(&candidates);
-    if let Some(best) = &report.best {
-        let point = evaluator.roofline(&best.report);
-        shared
-            .metrics
-            .cost_models
-            .observe(cost_model, &point, &best.report);
-    }
     match report.cache {
         CacheStatus::Hit => shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed),
         CacheStatus::Miss => shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed),
         CacheStatus::Stale => shared.metrics.cache_stale.fetch_add(1, Ordering::Relaxed),
         CacheStatus::Disabled => 0,
     };
-    Response::Tuned(TuneReply {
+    TuneReply {
         best: report.best,
         offered: report.offered as u64,
         evaluated: report.evaluated as u64,
@@ -1054,7 +1071,7 @@ fn exec_tune(
         fell_back: report.fell_back,
         cancelled: report.cancelled,
         wall_ms: report.wall.as_secs_f64() * 1e3,
-    })
+    }
 }
 
 /// Open a session: build the warm cache once from the initial graph and
@@ -1281,23 +1298,24 @@ fn straggle(
     true
 }
 
-/// Evaluate one contiguous sub-range of a fleet tune: a plain budgeted
-/// tune (no refinement, no cache — raw candidate scores are what the
-/// coordinator's `(score, index)` merge needs), sealed into a
-/// checksummed, epoch-stamped reply. A deadline or disconnect that
-/// stops the sweep early still answers — with `evaluated < count`, so
-/// the coordinator discards the reply as incomplete rather than
-/// merging a winner that depends on where the shard gave up.
+/// Evaluate one contiguous sub-range of a fleet tune: plain budgeted
+/// tunes (no refinement, no cache — raw candidate scores are what the
+/// coordinator's `(score, index)` merge needs) over chunks of
+/// `stream_every` candidates (the whole range when it is `None` or
+/// `0`), sealed into a checksummed, epoch-stamped terminal reply.
+/// Chunks are evaluated in ascending index order and each carries its
+/// chunk-local first minimum, so an ascending strict-`<` fold over
+/// chunks reproduces the flat scan's first minimum exactly.
 ///
-/// With `stream_every = Some(k)`, the range is evaluated in chunks of
-/// `k` and each finished chunk is announced with a sealed
-/// [`Response::TuneShardPart`] through `reply` (the connection's
-/// writer forwards it to the socket). Chunks are evaluated in ascending index
-/// order and each part carries the chunk-local first minimum, so the
-/// coordinator's ascending strict-`<` fold over parts reproduces the
-/// flat scan's first minimum exactly. The terminal reply still covers
-/// the whole range — an interrupted range answers incomplete, but
-/// every part already emitted stands on its own.
+/// When `stream_every` is set, each finished chunk is also announced
+/// with a sealed [`Response::TuneShardPart`] through `reply` (the
+/// connection's writer forwards it to the socket); that is the only
+/// difference the field makes. A deadline or disconnect that stops the
+/// sweep early still answers — with `evaluated < count`, so the
+/// coordinator discards the reply as incomplete rather than merging a
+/// winner that depends on where the shard gave up. Its `best` covers
+/// the finished chunks only; every part already emitted stands on its
+/// own.
 fn exec_tune_shard(
     shared: &Shared,
     req: TuneShardRequest,
@@ -1327,7 +1345,8 @@ fn exec_tune_shard(
         .collect();
     let count = candidates.len() as u64;
     let straggle_ms = shared.config.straggle_ms_per_candidate.unwrap_or(0);
-    let chunk = stream_every.unwrap_or(0) as usize;
+    let stream = stream_every.filter(|&k| k > 0);
+    let chunk = stream.map_or(candidates.len(), |k| k as usize);
 
     let run_slice = |slice: &[MappingCandidate]| {
         let mut budget = Budget::unlimited();
@@ -1353,31 +1372,6 @@ fn exec_tune_shard(
         })
     };
 
-    if chunk == 0 {
-        // Classic blocking path: one tune, one reply.
-        if straggle_ms > 0 && !straggle(straggle_ms, count, cancel, deadline) {
-            let body = TuneShardBody {
-                start_index,
-                count,
-                evaluated: 0,
-                cancelled: true,
-                best: None,
-            };
-            return Response::TuneSharded(TuneShardReply::seal(epoch, body));
-        }
-        let report = run_slice(&candidates);
-        let body = TuneShardBody {
-            start_index,
-            count,
-            evaluated: report.evaluated as u64,
-            cancelled: report.cancelled,
-            best: slice_best(0, report),
-        };
-        return Response::TuneSharded(TuneShardReply::seal(epoch, body));
-    }
-
-    // Streaming path: chunked sweep, one sealed part per finished
-    // chunk, then the terminal reply.
     let mut evaluated = 0u64;
     let mut cancelled = false;
     let mut best: Option<ShardBest> = None;
@@ -1405,24 +1399,26 @@ fn exec_tune_shard(
             (None, Some(_)) => best = chunk_best.clone(),
             _ => {}
         }
-        let part = TuneShardPart::seal(
-            epoch,
-            TuneShardPartBody {
-                start_index: start_index + lo as u64,
-                count: n,
-                best: chunk_best,
-            },
-        );
-        shared
-            .metrics
-            .tune_shard_parts
-            .fetch_add(1, Ordering::Relaxed);
-        if !reply.send(Response::TuneShardPart(part)) {
-            // The connection's writer is gone: nobody will read
-            // further frames. Stop burning cores.
-            cancel.cancel();
-            cancelled = true;
-            break;
+        if stream.is_some() {
+            let part = TuneShardPart::seal(
+                epoch,
+                TuneShardPartBody {
+                    start_index: start_index + lo as u64,
+                    count: n,
+                    best: chunk_best,
+                },
+            );
+            shared
+                .metrics
+                .tune_shard_parts
+                .fetch_add(1, Ordering::Relaxed);
+            if !reply.send(Response::TuneShardPart(part)) {
+                // The connection's writer is gone: nobody will read
+                // further frames. Stop burning cores.
+                cancel.cancel();
+                cancelled = true;
+                break;
+            }
         }
         lo = hi;
     }

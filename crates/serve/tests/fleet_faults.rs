@@ -9,7 +9,7 @@ use std::net::{TcpListener, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use fm_autotune::{TunedMapping, Tuner};
+use fm_autotune::{Refinement, TunedMapping, Tuner};
 use fm_core::affine::IdxExpr;
 use fm_core::cost::Evaluator;
 use fm_core::dataflow::{CExpr, DataflowGraph};
@@ -97,7 +97,7 @@ fn fleet_config(shards: Vec<String>) -> FleetConfig {
     f.hedge_after = None;
     f.breaker_threshold = 2;
     f.breaker_cooldown = Duration::from_millis(300);
-    f.stream_every = Some(4);
+    f.stream_every = 4;
     f
 }
 
@@ -232,6 +232,87 @@ fn full_outage_degrades_to_local_search() {
     assert_eq!(fleet.degraded_tunes, 1, "the whole tune ran locally");
 
     coord.shutdown_and_join();
+}
+
+/// Every member leaves over the wire; the next tune — refined — runs on
+/// the coordinator alone and still matches a direct refined tune bit
+/// for bit, sweeping every candidate.
+#[test]
+fn empty_roster_tunes_and_refines_locally() {
+    let graph = wide(12);
+    let machine = MachineConfig::linear(8);
+    let shards = start_shards(2);
+    let addrs: Vec<String> = shards.iter().map(|s| s.local_addr().to_string()).collect();
+    let coord = start_coordinator(fleet_config(addrs.clone()));
+    let mut client = Client::connect(coord.local_addr()).unwrap();
+    for addr in &addrs {
+        assert!(client.shard_leave(addr).unwrap().changed);
+    }
+
+    let ncand = 20;
+    let refinement = Refinement {
+        chains: 2,
+        iters: 300,
+        seed: 11,
+    };
+    let mut req = tune_request(&graph, &machine, ncand);
+    req.refinement = Some(refinement);
+    let reply = client.tune(req).unwrap();
+    assert!(!reply.cancelled);
+    assert!(!reply.fell_back);
+    assert_eq!(reply.evaluated, ncand as u64);
+
+    let evaluator = Evaluator::new(&graph, &machine);
+    let candidates: Vec<MappingCandidate> = affine_candidates(ncand, machine.cols)
+        .into_iter()
+        .map(|c| MappingCandidate::new(c.label, c.mapping))
+        .collect();
+    let expected = Tuner::new(&evaluator, &graph, &machine, FigureOfMerit::Time)
+        .with_refinement(refinement)
+        .tune(&candidates)
+        .best
+        .expect("direct tuner found a winner");
+    assert_same_winner(&reply.best.expect("empty roster found a winner"), &expected);
+
+    let fleet = coord.stats().fleet.unwrap();
+    assert_eq!(fleet.members, 0);
+    assert_eq!(fleet.fleet_tunes, 1);
+    assert_eq!(fleet.degraded_tunes, 1, "the whole tune ran locally");
+    let shard_work: u64 = shards.iter().map(|s| s.stats().tune_shard.received).sum();
+    assert_eq!(shard_work, 0, "departed shards must not see work");
+
+    coord.shutdown_and_join();
+    for s in shards {
+        s.shutdown_and_join();
+    }
+}
+
+/// A fleet-answered tune drops its winner into the coordinator's
+/// cost-model observatory, exactly like a locally answered one.
+#[test]
+fn fleet_tunes_reach_the_cost_model_observatory() {
+    let graph = wide(12);
+    let machine = MachineConfig::linear(8);
+    let shards = start_shards(2);
+    let addrs: Vec<String> = shards.iter().map(|s| s.local_addr().to_string()).collect();
+    let coord = start_coordinator(fleet_config(addrs));
+
+    let mut client = Client::connect(coord.local_addr()).unwrap();
+    client.tune(tune_request(&graph, &machine, 20)).unwrap();
+
+    let stats = coord.stats();
+    assert_eq!(stats.fleet.as_ref().unwrap().fleet_tunes, 1);
+    let models: Vec<(&str, u64)> = stats
+        .cost_models
+        .iter()
+        .map(|m| (m.model.as_str(), m.tunes))
+        .collect();
+    assert_eq!(models, vec![("analytic", 1)]);
+
+    coord.shutdown_and_join();
+    for s in shards {
+        s.shutdown_and_join();
+    }
 }
 
 #[test]
@@ -1021,11 +1102,12 @@ proptest! {
         }
     }
 
-    /// Satellite: the streamed + weighted merge and the classic
-    /// blocking merge agree with each other *and* with the direct
-    /// single-machine tuner, under identical seeded fault schedules.
-    /// Each coordinator gets its own proxies built from the same seed,
-    /// so both protocols face the same misbehavior in the same order.
+    /// Satellite: the many-chunk streamed merge and the one-chunk merge
+    /// (a part per range, as the blocking protocol answered) agree with
+    /// each other *and* with the direct single-machine tuner, under
+    /// identical seeded fault schedules. Each arm runs one tune on a
+    /// fresh coordinator — cold weights, so the equal split — behind its
+    /// own proxies built from the same seed.
     #[test]
     fn streamed_and_blocking_merges_agree_with_direct(
         seed in any::<u64>(),
@@ -1037,7 +1119,7 @@ proptest! {
         let expected = direct_winner(&graph, &machine, ncand);
 
         let mut winners = Vec::new();
-        for streaming in [true, false] {
+        for stream_every in [3, ncand as u64] {
             let proxies: Vec<FaultProxy> = shards
                 .iter()
                 .enumerate()
@@ -1052,8 +1134,7 @@ proptest! {
             let addrs: Vec<String> =
                 proxies.iter().map(|p| p.local_addr().to_string()).collect();
             let mut config = fleet_config(addrs);
-            config.stream_every = streaming.then_some(3);
-            config.weighted = streaming;
+            config.stream_every = stream_every;
             let coord = start_coordinator(config);
 
             let mut client = Client::connect(coord.local_addr()).unwrap();
