@@ -185,6 +185,14 @@ impl<'b> Frontier<'b> {
     }
 }
 
+/// Where one tune's candidate evaluations come from.
+enum Source<'s> {
+    /// Cold flat-engine evaluation ([`Tuner::tune`]).
+    Cold(&'s BatchEvaluator<'s>),
+    /// A session's repaired per-candidate state ([`Tuner::tune_warm`]).
+    Warm(&'s mut DeltaCandidates),
+}
+
 /// How the cache participated in a tuning run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheStatus {
@@ -430,9 +438,86 @@ impl<'a> Tuner<'a> {
             }
         }
 
-        // Budgeted evaluation: candidates fan out per-candidate (work
-        // stealing when a pool is configured), budget decisions fold in
-        // through the ordered frontier.
+        // One flat-engine context per tune: the consumer lists, cost
+        // prefixes, and off-chip totals shared by every candidate are
+        // hoisted here, and each worker thread checks out a persistent
+        // scratch arena — steady-state candidate evaluation allocates
+        // nothing and matches `evaluate_candidate` bit-for-bit.
+        let batch = BatchEvaluator::new(self.evaluator, self.graph, self.machine, self.fom);
+        let mut report = self.run(start, candidates, Source::Cold(&batch), cache_status);
+
+        // Neither a fallback nor a cancelled run is cached: the
+        // evaluated prefix of a cancelled run is schedule-dependent,
+        // so its winner is not reproducible.
+        if let (Some(cache), Some(best)) = (&self.cache, &report.best) {
+            if !report.fell_back && !report.cancelled {
+                let _ = cache.store(&CacheEntry {
+                    version: CACHE_SCHEMA_VERSION,
+                    fingerprint: fp,
+                    best: best.clone(),
+                    evaluated: report.evaluated,
+                    complete: report.evaluated == offered,
+                    outcome: report.outcome.clone(),
+                    trajectory: report.trajectory.clone(),
+                });
+                report.wall = start.elapsed();
+            }
+        }
+        report
+    }
+
+    /// Warm re-tune: like [`Tuner::tune`], but candidate evaluations
+    /// are served from a [`WarmCache`] whose per-candidate legality
+    /// counters and cost trees were *repaired* across graph edits
+    /// ([`fm_core::delta::DeltaCandidates`]) instead of re-derived.
+    ///
+    /// The winner is bit-identical to a cold [`Tuner::tune`] of the
+    /// cache's candidate list against the current graph (with no
+    /// persistent cache configured): the warm cache yields exactly the
+    /// evals [`fm_core::search::evaluate_candidate`] would, and both
+    /// tunes run the same evaluation loop and tail. What keeps that
+    /// guarantee crisp:
+    ///
+    /// * the tuner's evaluator/graph/machine must wrap the *same*
+    ///   post-edit state the cache's edits were applied against, with
+    ///   the same evaluator configuration the cache was built with;
+    /// * the persistent [`TuningCache`] is neither probed nor stored —
+    ///   a warm tune is about incremental in-process state, not
+    ///   cross-process replay — so the report says
+    ///   [`CacheStatus::Disabled`];
+    /// * evaluation is serial even when a pool is configured (repair
+    ///   state is exclusive); budgets, cancellation and refinement
+    ///   are applied exactly as on the cold path.
+    ///
+    /// Whether the tune was actually warm is observable through
+    /// [`WarmCache::rebuilds`]: if the counter is unchanged across the
+    /// call, no candidate fell back to a cold from-scratch rebuild.
+    pub fn tune_warm(&self, warm: &mut WarmCache) -> TuneReport {
+        let start = Instant::now();
+        let WarmCache { candidates, delta } = warm;
+        self.run(
+            start,
+            candidates,
+            Source::Warm(delta),
+            CacheStatus::Disabled,
+        )
+    }
+
+    /// The one evaluation loop and tail behind both tunes. Candidates
+    /// are evaluated per candidate in index order up to the budget's
+    /// cap — fanned out with work stealing for a cold source when a
+    /// pool is configured — and folded through the ordered frontier,
+    /// which makes the budget decisions. The tail picks the winner,
+    /// falls back to the default mapper when nothing was legal,
+    /// refines, and ranks the evaluated prefix.
+    fn run(
+        &self,
+        start: Instant,
+        candidates: &[MappingCandidate],
+        source: Source<'_>,
+        cache: CacheStatus,
+    ) -> TuneReport {
+        let offered = candidates.len();
         let cap = self.budget.max_candidates.unwrap_or(offered).min(offered);
         let mut frontier = Frontier::new(&self.budget, self.cancel.as_ref(), start);
         let never = AtomicBool::new(false);
@@ -441,21 +526,15 @@ impl<'a> Tuner<'a> {
             .as_ref()
             .map(CancelToken::as_atomic)
             .unwrap_or(&never);
-        // One flat-engine context per tune: the consumer lists, cost
-        // prefixes, and off-chip totals shared by every candidate are
-        // hoisted here, and each worker thread checks out a persistent
-        // scratch arena — steady-state candidate evaluation allocates
-        // nothing and matches `evaluate_candidate` bit-for-bit.
-        let batch = BatchEvaluator::new(self.evaluator, self.graph, self.machine, self.fom);
-        let evals: Vec<CandidateEval> = match self.pool {
-            Some(pool) => par_map_until_cancel(
+        let evals: Vec<CandidateEval> = match (source, self.pool) {
+            (Source::Cold(batch), Some(pool)) => par_map_until_cancel(
                 pool,
                 cap,
                 |i| batch.evaluate_candidate(&candidates[i]),
                 |i, eval| frontier.feed(i, eval),
                 cancel_flag,
             ),
-            None => {
+            (mut source, _) => {
                 let mut evals = Vec::with_capacity(cap);
                 for (i, cand) in candidates.iter().enumerate().take(cap) {
                     // Cancellation aborts *between* candidate
@@ -464,7 +543,10 @@ impl<'a> Tuner<'a> {
                     if cancel_flag.load(Ordering::Acquire) {
                         break;
                     }
-                    let eval = batch.evaluate_candidate(cand);
+                    let eval = match &mut source {
+                        Source::Cold(batch) => batch.evaluate_candidate(cand),
+                        Source::Warm(delta) => delta.evaluate(i, self.evaluator, self.fom),
+                    };
                     let stop = frontier.feed(i, &eval);
                     evals.push(eval);
                     if stop {
@@ -502,9 +584,8 @@ impl<'a> Tuner<'a> {
         };
         let fell_back = best_idx.is_none() && best.is_some();
 
-        // A cancelled run neither refines (more cores burned for a
-        // result nobody wants) nor caches (the evaluated prefix is
-        // schedule-dependent, so its winner is not reproducible).
+        // A cancelled run does not refine: more cores burned for a
+        // result nobody wants.
         if let Some(b) = best.as_mut() {
             if !cancelled {
                 self.refine(b);
@@ -512,130 +593,12 @@ impl<'a> Tuner<'a> {
         }
 
         let outcome = assemble_outcome(&candidates[..evaluated], evals);
-        if let (Some(cache), Some(best)) = (&self.cache, &best) {
-            if !fell_back && !cancelled {
-                let _ = cache.store(&CacheEntry {
-                    version: CACHE_SCHEMA_VERSION,
-                    fingerprint: fp,
-                    best: best.clone(),
-                    evaluated,
-                    complete: evaluated == offered,
-                    outcome: outcome.clone(),
-                    trajectory: trajectory.clone(),
-                });
-            }
-        }
-
         TuneReport {
             fom: self.fom,
             offered,
             evaluated,
             pruned: offered - evaluated,
-            cache: cache_status,
-            fell_back,
-            cancelled,
-            wall: start.elapsed(),
-            trajectory,
-            outcome,
-            best_index: best_idx,
-            best,
-        }
-    }
-
-    /// Warm re-tune: like [`Tuner::tune`], but candidate evaluations
-    /// are served from a [`WarmCache`] whose per-candidate legality
-    /// counters and cost trees were *repaired* across graph edits
-    /// ([`fm_core::delta::DeltaCandidates`]) instead of re-derived.
-    ///
-    /// The winner is bit-identical to a cold [`Tuner::tune`] of the
-    /// cache's candidate list against the current graph (with no
-    /// persistent cache configured): the warm cache yields exactly the
-    /// evals [`fm_core::search::evaluate_candidate`] would, and they
-    /// feed the same ordered frontier. What keeps that guarantee crisp:
-    ///
-    /// * the tuner's evaluator/graph/machine must wrap the *same*
-    ///   post-edit state the cache's edits were applied against, with
-    ///   the same evaluator configuration the cache was built with;
-    /// * the persistent [`TuningCache`] is neither probed nor stored —
-    ///   a warm tune is about incremental in-process state, not
-    ///   cross-process replay — so the report says
-    ///   [`CacheStatus::Disabled`];
-    /// * evaluation is serial even when a pool is configured (repair
-    ///   state is exclusive); budgets (candidate cap, convergence
-    ///   window, deadline) and cancellation behave exactly as on the
-    ///   serial cold path, and refinement (if configured) runs on the
-    ///   winner as usual.
-    ///
-    /// Whether the tune was actually warm is observable through
-    /// [`WarmCache::rebuilds`]: if the counter is unchanged across the
-    /// call, no candidate fell back to a cold from-scratch rebuild.
-    pub fn tune_warm(&self, warm: &mut WarmCache) -> TuneReport {
-        let start = Instant::now();
-        let WarmCache { candidates, delta } = warm;
-        let offered = candidates.len();
-
-        let cap = self.budget.max_candidates.unwrap_or(offered).min(offered);
-        let mut frontier = Frontier::new(&self.budget, self.cancel.as_ref(), start);
-        let never = AtomicBool::new(false);
-        let cancel_flag = self
-            .cancel
-            .as_ref()
-            .map(CancelToken::as_atomic)
-            .unwrap_or(&never);
-        let mut evals: Vec<CandidateEval> = Vec::with_capacity(cap);
-        for i in 0..cap {
-            // Same cancellation points as the serial cold path: before
-            // each candidate, and in `feed` after it lands.
-            if cancel_flag.load(Ordering::Acquire) {
-                break;
-            }
-            let eval = delta.evaluate(i, self.evaluator, self.fom);
-            let stop = frontier.feed(i, &eval);
-            evals.push(eval);
-            if stop {
-                break;
-            }
-        }
-        let cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-
-        let evaluated = evals.len();
-        let best_idx = frontier.best_idx;
-        let trajectory = frontier.trajectory;
-        let mut best = match best_idx {
-            Some(i) => {
-                let CandidateEval::Legal {
-                    resolved,
-                    report,
-                    score,
-                } = evals[i].clone()
-                else {
-                    unreachable!("best index always points at a legal eval")
-                };
-                Some(TunedMapping {
-                    label: candidates[i].label.clone(),
-                    resolved,
-                    report,
-                    score,
-                })
-            }
-            None => self.fallback(),
-        };
-        let fell_back = best_idx.is_none() && best.is_some();
-
-        if let Some(b) = best.as_mut() {
-            if !cancelled {
-                self.refine(b);
-            }
-        }
-
-        let outcome = assemble_outcome(&candidates[..evaluated], evals);
-
-        TuneReport {
-            fom: self.fom,
-            offered,
-            evaluated,
-            pruned: offered - evaluated,
-            cache: CacheStatus::Disabled,
+            cache,
             fell_back,
             cancelled,
             wall: start.elapsed(),
@@ -1363,20 +1326,45 @@ mod tests {
             },
             GraphEdit::RemoveNode { id: 9 },
         ];
-        let budget = Budget::unlimited().with_convergence_window(2);
+        // Every budget the shared loop applies, plus refinement and a
+        // pre-cancelled token, on both tunes after every edit.
+        let window = Budget::unlimited().with_convergence_window(2);
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let configs = [
+            (Budget::unlimited(), None, None),
+            (Budget::unlimited().with_max_candidates(2), None, None),
+            (window, None, None),
+            (
+                window,
+                Some(Refinement {
+                    chains: 2,
+                    iters: 40,
+                    seed: 5,
+                }),
+                None,
+            ),
+            (Budget::unlimited(), None, Some(cancelled)),
+        ];
         for edit in &edits {
             let receipt = apply_edit(&mut g, &mut m, edit).unwrap();
             let ev = Evaluator::new(&g, &m);
             let cone = warm.apply_edit(&ev, &receipt);
             assert_eq!(cone, receipt.cone_size(&g));
-            let w = Tuner::new(&ev, &g, &m, FigureOfMerit::Edp)
-                .with_budget(budget)
-                .tune_warm(&mut warm);
-            let c = Tuner::new(&ev, &g, &m, FigureOfMerit::Edp)
-                .with_budget(budget)
-                .tune(&cands);
-            assert_eq!(w.cache, CacheStatus::Disabled);
-            assert_reports_match(&w, &c);
+            for (budget, refinement, cancel) in &configs {
+                let tuner = || Tuner {
+                    budget: *budget,
+                    refinement: *refinement,
+                    cancel: cancel.clone(),
+                    ..Tuner::new(&ev, &g, &m, FigureOfMerit::Edp)
+                };
+                let w = tuner().tune_warm(&mut warm);
+                let c = tuner().tune(&cands);
+                assert_eq!(w.cache, CacheStatus::Disabled);
+                assert_eq!(w.cancelled, cancel.is_some());
+                assert_eq!(w.cancelled, c.cancelled);
+                assert_reports_match(&w, &c);
+            }
         }
     }
 

@@ -21,7 +21,7 @@ use fm_core::cost::Evaluator;
 use fm_core::dataflow::{CExpr, DataflowGraph};
 use fm_core::machine::MachineConfig;
 use fm_core::mapping::{AffineMap, Mapping, PlaceExpr};
-use fm_core::search::{FigureOfMerit, MappingCandidate};
+use fm_core::search::FigureOfMerit;
 use fm_core::value::Value;
 use fm_serve::client::Client;
 use fm_serve::fault::{FaultPlan, FaultProxy};
@@ -110,12 +110,8 @@ fn fleet_config(shards: Vec<String>) -> FleetConfig {
 
 fn direct_winner(graph: &DataflowGraph, machine: &MachineConfig, ncand: usize) -> TunedMapping {
     let evaluator = Evaluator::new(graph, machine);
-    let cands: Vec<MappingCandidate> = candidates(ncand, machine.cols)
-        .into_iter()
-        .map(|c| MappingCandidate::new(c.label, c.mapping))
-        .collect();
     Tuner::new(&evaluator, graph, machine, FigureOfMerit::Time)
-        .tune(&cands)
+        .tune(&candidates(ncand, machine.cols))
         .best
         .expect("direct tuner found a winner")
 }

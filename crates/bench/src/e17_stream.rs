@@ -34,7 +34,7 @@ use fm_core::cost::Evaluator;
 use fm_core::dataflow::{CExpr, DataflowGraph};
 use fm_core::machine::MachineConfig;
 use fm_core::mapping::{AffineMap, Mapping, PlaceExpr};
-use fm_core::search::{FigureOfMerit, MappingCandidate};
+use fm_core::search::FigureOfMerit;
 use fm_core::value::Value;
 use fm_serve::client::Client;
 use fm_serve::fleet::FleetConfig;
@@ -102,12 +102,8 @@ fn candidates(n: usize, cols: u32) -> Vec<WireCandidate> {
 
 fn direct_winner(graph: &DataflowGraph, machine: &MachineConfig, ncand: usize) -> TunedMapping {
     let evaluator = Evaluator::new(graph, machine);
-    let cands: Vec<MappingCandidate> = candidates(ncand, machine.cols)
-        .into_iter()
-        .map(|c| MappingCandidate::new(c.label, c.mapping))
-        .collect();
     Tuner::new(&evaluator, graph, machine, FigureOfMerit::Time)
-        .tune(&cands)
+        .tune(&candidates(ncand, machine.cols))
         .best
         .expect("direct tuner found a winner")
 }

@@ -55,8 +55,10 @@ impl FigureOfMerit {
     }
 }
 
-/// A named candidate mapping.
-#[derive(Debug, Clone)]
+/// A named candidate mapping. It is also the wire form of a candidate
+/// (`fm_serve::WireCandidate`): field names and order are part of the
+/// wire bytes, the serve tier's dedup keys and the shard checksums.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MappingCandidate {
     /// Label for reports (e.g. `"P=8 skewed"`).
     pub label: String,

@@ -3,11 +3,9 @@
 //! ```text
 //! fm-serve [--addr HOST:PORT] [--workers N] [--threads N] [--queue N]
 //!          [--deadline-ms MS] [--cache DIR] [--max-frame BYTES]
-//!          [--session-ttl SECS] [--dedup on|off]
-//!          [--fleet HOST:PORT,...] [--fleet-attempts N]
-//!          [--fleet-connect-ms MS] [--fleet-hedge-ms MS]
-//!          [--fleet-admit HOST:PORT,...] [--fleet-ledger PATH]
-//!          [--cliff-fraction F] [--cliff-stall-ms MS]
+//!          [--session-ttl SECS] [--fleet HOST:PORT,...]
+//!          [--fleet-connect-ms MS] [--fleet-admit HOST:PORT,...]
+//!          [--fleet-ledger PATH]
 //! ```
 //!
 //! With `--fleet`, this instance becomes a coordinator: eligible
@@ -15,6 +13,11 @@
 //! (sized by each shard's measured throughput), streamed back in
 //! sealed chunks and merged by `(score, index)`; everything else (and
 //! every tune when the shards are down) is served locally.
+//!
+//! The flags are deployment settings only. Tune deduplication, the
+//! fleet's attempt waves, hedging and throughput-cliff detection run
+//! with their `ServerConfig`/`FleetConfig` defaults; embedders and
+//! tests set those fields directly.
 //!
 //! The daemon runs until it receives a wire `Shutdown` request, then
 //! drains admitted work and exits, printing a final stats summary.
@@ -29,11 +32,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: fm-serve [--addr HOST:PORT] [--workers N] [--threads N] [--queue N]\n\
          \x20               [--deadline-ms MS] [--cache DIR] [--max-frame BYTES]\n\
-         \x20               [--session-ttl SECS] [--dedup on|off]\n\
-         \x20               [--fleet HOST:PORT,...] [--fleet-attempts N]\n\
-         \x20               [--fleet-connect-ms MS] [--fleet-hedge-ms MS]\n\
-         \x20               [--fleet-admit HOST:PORT,...] [--fleet-ledger PATH]\n\
-         \x20               [--cliff-fraction F] [--cliff-stall-ms MS]\n\
+         \x20               [--session-ttl SECS] [--fleet HOST:PORT,...]\n\
+         \x20               [--fleet-connect-ms MS] [--fleet-admit HOST:PORT,...]\n\
+         \x20               [--fleet-ledger PATH]\n\
          \n\
          \x20 --addr HOST:PORT   bind address (default 127.0.0.1:7171; port 0 = ephemeral)\n\
          \x20 --workers N        request worker threads (default 2)\n\
@@ -43,24 +44,13 @@ fn usage() -> ! {
          \x20 --cache DIR        persistent tuning cache directory (default off)\n\
          \x20 --max-frame BYTES  largest accepted frame (default 16 MiB)\n\
          \x20 --session-ttl SECS evict sessions idle this long; 0 = never (default)\n\
-         \x20 --dedup on|off     collapse queued duplicate tunes into one search\n\
-         \x20                    and fan the answer back to every waiter (default on)\n\
          \x20 --fleet A,B,...    coordinate tunes across these shard addresses\n\
-         \x20 --fleet-attempts N       attempt waves per sub-range before local\n\
-         \x20                          fallback (default 3)\n\
          \x20 --fleet-connect-ms MS    per-attempt connect timeout (default 250)\n\
-         \x20 --fleet-hedge-ms MS      hedge stragglers after MS; 0 disables\n\
-         \x20                          (default 500)\n\
          \x20 --fleet-admit A,B,...    additionally admit these shards at startup\n\
          \x20                          (same as ShardJoin requests; bumps the epoch)\n\
          \x20 --fleet-ledger PATH      persist per-shard EWMA weights + breaker state\n\
          \x20                          to this JSON file across coordinator restarts\n\
-         \x20                          (corrupt or stale ledgers fall back to cold)\n\
-         \x20 --cliff-fraction F       re-dispatch a range's suffix when its shard's\n\
-         \x20                          throughput falls below F x trailing peak while\n\
-         \x20                          the watermark stalls; 0 disables (default 0.35)\n\
-         \x20 --cliff-stall-ms MS      watermark stall before the cliff check fires\n\
-         \x20                          (default 200)"
+         \x20                          (corrupt or stale ledgers fall back to cold)"
     );
     std::process::exit(2);
 }
@@ -79,13 +69,9 @@ fn main() -> ExitCode {
     let mut addr = "127.0.0.1:7171".to_string();
     let mut config = ServerConfig::default();
     let mut fleet_shards: Option<Vec<String>> = None;
-    let mut fleet_attempts: Option<u32> = None;
     let mut fleet_connect_ms: Option<u64> = None;
-    let mut fleet_hedge_ms: Option<u64> = None;
     let mut fleet_admit: Option<Vec<String>> = None;
     let mut fleet_ledger: Option<String> = None;
-    let mut cliff_fraction: Option<f64> = None;
-    let mut cliff_stall_ms: Option<u64> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -109,14 +95,6 @@ fn main() -> ExitCode {
                 let secs: u64 = parse_num("--session-ttl", args.next());
                 config.session_ttl = (secs > 0).then(|| Duration::from_secs(secs));
             }
-            "--dedup" => match args.next().as_deref() {
-                Some("on") => config.dedup_tunes = true,
-                Some("off") => config.dedup_tunes = false,
-                _ => {
-                    eprintln!("fm-serve: --dedup needs `on` or `off`");
-                    usage();
-                }
-            },
             "--fleet" => match args.next() {
                 Some(list) => {
                     let shards: Vec<String> = list
@@ -133,11 +111,9 @@ fn main() -> ExitCode {
                 }
                 None => usage(),
             },
-            "--fleet-attempts" => fleet_attempts = Some(parse_num("--fleet-attempts", args.next())),
             "--fleet-connect-ms" => {
                 fleet_connect_ms = Some(parse_num("--fleet-connect-ms", args.next()))
             }
-            "--fleet-hedge-ms" => fleet_hedge_ms = Some(parse_num("--fleet-hedge-ms", args.next())),
             "--fleet-admit" => match args.next() {
                 Some(list) => {
                     let extra: Vec<String> = list
@@ -158,8 +134,6 @@ fn main() -> ExitCode {
                 Some(path) => fleet_ledger = Some(path),
                 None => usage(),
             },
-            "--cliff-fraction" => cliff_fraction = Some(parse_num("--cliff-fraction", args.next())),
-            "--cliff-stall-ms" => cliff_stall_ms = Some(parse_num("--cliff-stall-ms", args.next())),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("fm-serve: unknown argument {other:?}");
@@ -170,14 +144,8 @@ fn main() -> ExitCode {
 
     if let Some(shards) = fleet_shards {
         let mut fleet = FleetConfig::new(shards);
-        if let Some(n) = fleet_attempts {
-            fleet.attempts = n.max(1);
-        }
         if let Some(ms) = fleet_connect_ms {
             fleet.connect_timeout = Duration::from_millis(ms.max(1));
-        }
-        if let Some(ms) = fleet_hedge_ms {
-            fleet.hedge_after = (ms > 0).then(|| Duration::from_millis(ms));
         }
         if let Some(extra) = fleet_admit {
             fleet.admit = extra;
@@ -185,25 +153,8 @@ fn main() -> ExitCode {
         if let Some(path) = fleet_ledger {
             fleet.weight_ledger = Some(path.into());
         }
-        if let Some(f) = cliff_fraction {
-            if !(0.0..=1.0).contains(&f) {
-                eprintln!("fm-serve: --cliff-fraction needs a value in [0, 1]");
-                usage();
-            }
-            fleet.cliff_fraction = f;
-        }
-        if let Some(ms) = cliff_stall_ms {
-            fleet.cliff_stall = Duration::from_millis(ms.max(1));
-        }
         config.fleet = Some(fleet);
-    } else if fleet_attempts.is_some()
-        || fleet_connect_ms.is_some()
-        || fleet_hedge_ms.is_some()
-        || fleet_admit.is_some()
-        || fleet_ledger.is_some()
-        || cliff_fraction.is_some()
-        || cliff_stall_ms.is_some()
-    {
+    } else if fleet_connect_ms.is_some() || fleet_admit.is_some() || fleet_ledger.is_some() {
         eprintln!("fm-serve: --fleet-* knobs need --fleet HOST:PORT,...");
         usage();
     }

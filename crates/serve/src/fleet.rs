@@ -77,7 +77,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use fm_autotune::{Budget, CancelToken, TunedMapping, Tuner};
+use fm_autotune::{CancelToken, TunedMapping, Tuner};
 use fm_core::cost::Evaluator;
 use fm_core::dataflow::DataflowGraph;
 use fm_core::machine::MachineConfig;
@@ -91,8 +91,9 @@ use crate::metrics::{breaker_state, FleetMetrics};
 use crate::protocol::{
     decode_response_any, encode_request, encode_request_binary, read_frame_until, Request,
     Response, ShardBest, ShardReplyFlaw, TuneReply, TuneRequest, TuneShardBody, TuneShardPartBody,
-    TuneShardRequest, WireCandidate, WireError, DEFAULT_MAX_FRAME,
+    TuneShardRequest, WireError, DEFAULT_MAX_FRAME,
 };
+use crate::server::budget;
 
 /// Fleet-coordinator tunables. Defaults are production-ish; tests
 /// tighten every timeout.
@@ -232,7 +233,7 @@ struct RangeShared {
     machine: MachineConfig,
     fom: FigureOfMerit,
     /// The range's candidate slice; `candidates[0]` is absolute `lo`.
-    candidates: Vec<WireCandidate>,
+    candidates: Vec<MappingCandidate>,
     lo: usize,
     hi: usize,
     epoch: u64,
@@ -597,10 +598,6 @@ impl Fleet {
         // shards were asked for, or merged winners would mix scoring
         // rules.
         let evaluator = Evaluator::new(&req.graph, &req.machine).with_cost_model(cost_model);
-        let local_candidates: Vec<MappingCandidate> = req.candidates[..cap]
-            .iter()
-            .map(|c| MappingCandidate::new(c.label.clone(), c.mapping.clone()))
-            .collect();
 
         // Freeze the roster for partitioning; attempts inside each
         // range still consult the live roster, so members joining
@@ -625,7 +622,6 @@ impl Fleet {
                 .map(|(ri, &(lo, hi, preferred_pos))| {
                     let fleet = Arc::clone(self);
                     let req = &*req;
-                    let locals = &local_candidates[lo..hi];
                     let evaluator = &evaluator;
                     let preferred = roster.get(preferred_pos).cloned();
                     s.spawn(move || {
@@ -633,7 +629,6 @@ impl Fleet {
                             &fleet,
                             req,
                             evaluator,
-                            locals,
                             lo,
                             hi,
                             ri,
@@ -863,7 +858,6 @@ fn run_range(
     fleet: &Arc<Fleet>,
     req: &TuneRequest,
     evaluator: &Evaluator,
-    locals: &[MappingCandidate],
     lo: usize,
     hi: usize,
     range_idx: usize,
@@ -1098,15 +1092,11 @@ fn run_range(
         .local_fallback_ranges
         .fetch_add(1, Ordering::Relaxed);
     let suffix_lo = range.covered();
-    let mut budget = Budget::unlimited();
-    if let Some(d) = deadline {
-        budget.deadline = Some(d.saturating_duration_since(Instant::now()));
-    }
     let report = Tuner::new(evaluator, &req.graph, &req.machine, req.fom)
         .with_pool(pool)
-        .with_budget(budget)
+        .with_budget(budget(None, None, deadline))
         .with_cancel(cancel.clone())
-        .tune(&locals[suffix_lo - lo..]);
+        .tune(&range.candidates[suffix_lo - lo..]);
     let cancelled = report.cancelled;
     range.merge_local(suffix_lo, report);
     range.outcome(cancelled, false, true)

@@ -43,7 +43,8 @@
 //! `Tune` queued ahead of it. A connection that never negotiated
 //! pipelining keeps one request in flight and answers in request
 //! order. Queued `Tune` requests with identical bodies are deduplicated
-//! into one search whose answer fans out to every waiter (`--dedup off`
+//! into one search whose answer fans out to every waiter
+//! ([`ServerConfig::dedup_tunes`](server::ServerConfig::dedup_tunes)
 //! disables this).
 //!
 //! Any work request may instead receive `Busy` (bounded admission

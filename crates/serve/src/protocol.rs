@@ -28,11 +28,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use fm_autotune::{Refinement, TunedMapping};
+use fm_autotune::{Refinement, TuneReport, TunedMapping};
 use fm_core::cost::CostReport;
 use fm_core::dataflow::DataflowGraph;
 use fm_core::machine::MachineConfig;
-use fm_core::mapping::{Mapping, ResolvedMapping};
+use fm_core::mapping::ResolvedMapping;
 use fm_core::mutate::GraphEdit;
 use fm_core::search::FigureOfMerit;
 use fm_core::value::Value;
@@ -44,17 +44,9 @@ use crate::metrics::StatsReply;
 /// hostile or buggy length prefix cannot balloon server memory.
 pub const DEFAULT_MAX_FRAME: usize = 16 << 20;
 
-/// A candidate mapping as sent over the wire.
-///
-/// (`fm_core::search::MappingCandidate` itself does not implement
-/// serde; this is its wire twin, converted at the server boundary.)
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WireCandidate {
-    /// Label reported back for the winner.
-    pub label: String,
-    /// The mapping to evaluate.
-    pub mapping: Mapping,
-}
+/// A candidate mapping as sent over the wire: the tuner's own
+/// candidate type, so requests hand their lists to the tuner as is.
+pub use fm_core::search::MappingCandidate as WireCandidate;
 
 /// `Tune`: search a candidate list for the best mapping of `graph` on
 /// `machine` under `fom`, with optional budgets and annealing
@@ -687,6 +679,21 @@ pub struct TuneReply {
     pub cancelled: bool,
     /// Server-side wall time of the tune call, in milliseconds.
     pub wall_ms: f64,
+}
+
+impl From<TuneReport> for TuneReply {
+    fn from(report: TuneReport) -> TuneReply {
+        TuneReply {
+            best: report.best,
+            offered: report.offered as u64,
+            evaluated: report.evaluated as u64,
+            pruned: report.pruned as u64,
+            cache: report.cache.to_string(),
+            fell_back: report.fell_back,
+            cancelled: report.cancelled,
+            wall_ms: report.wall.as_secs_f64() * 1e3,
+        }
+    }
 }
 
 /// The answer to an [`EvaluateRequest`].
@@ -1970,4 +1977,140 @@ mod tests {
         assert!(matches!(items[1], Json::F64(f) if f.is_infinite() && f > 0.0));
         assert!(matches!(items[2], Json::F64(f) if f == 0.0 && f.is_sign_negative()));
     }
+
+    /// Lower-case hex, for pinning binary payloads.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Golden wire bytes for the two requests that carry candidate
+    /// lists, in both encodings. Any change to the candidate type's
+    /// serde shape (field names, field order, variant tags) moves
+    /// these bytes, and with them every dedup key and shard checksum.
+    #[test]
+    fn candidate_lists_encode_to_pinned_bytes() {
+        use fm_core::affine::IdxExpr;
+        use fm_core::dataflow::CExpr;
+        use fm_core::mapping::{AffineMap, Mapping, PlaceExpr};
+
+        let mut graph = DataflowGraph::new("pin", 32);
+        graph.add_node(CExpr::konst(Value::real(1.0)), vec![], vec![0]);
+        let machine = MachineConfig::linear(2);
+        let candidates = vec![
+            WireCandidate {
+                label: "serial".to_string(),
+                mapping: Mapping::serial(&graph),
+            },
+            WireCandidate {
+                label: "spread".to_string(),
+                mapping: Mapping::Affine(AffineMap {
+                    place: PlaceExpr::row0(IdxExpr::i()),
+                    time: IdxExpr::c(0),
+                }),
+            },
+        ];
+        let tune = Request::Tune(TuneRequest {
+            graph: graph.clone(),
+            machine: machine.clone(),
+            fom: FigureOfMerit::Edp,
+            candidates: candidates.clone(),
+            deadline_ms: Some(250),
+            max_candidates: Some(2),
+            convergence_window: None,
+            refinement: None,
+            use_cache: false,
+            cost_model: None,
+        });
+        let shard = Request::TuneShard(TuneShardRequest {
+            graph,
+            machine,
+            fom: FigureOfMerit::Time,
+            candidates: candidates[1..].to_vec(),
+            start_index: 1,
+            epoch: 3,
+            deadline_ms: None,
+            stream_every: Some(4),
+            cost_model: Some("roofline".to_string()),
+        });
+        for (req, json, binary) in [
+            (&tune, TUNE_JSON, TUNE_BINARY),
+            (&shard, SHARD_JSON, SHARD_BINARY),
+        ] {
+            let got_json = String::from_utf8(encode_request(req)).unwrap();
+            let got_binary = hex(&encode_request_binary(0x0102_0304_0506_0708, req));
+            assert_eq!(got_json, json);
+            assert_eq!(got_binary, binary);
+        }
+    }
+
+    const TUNE_JSON: &str = concat!(
+        "{\"Tune\":{\"graph\":{\"name\":\"pin\",\"width_bits\":32,\"inputs\":[],\"nodes\":[{\"expr\":",
+        "{\"Leaf\":{\"Const\":{\"re\":1.0,\"im\":0.0}}},\"deps\":[],\"index\":[0],\"output\":false}",
+        "]},\"machine\":{\"tech\":{\"name\":\"5nm\",\"add_energy_fj_per_bit\":0.5,\"add32_latenc",
+        "y_ps\":200.0,\"wire_energy_fj_per_bit_mm\":80.0,\"wire_delay_ps_per_mm\":800.0,\"o",
+        "ffchip_factor\":10.0,\"offchip_latency_ps\":40000.0,\"instruction_overhead_facto",
+        "r\":10000.0,\"chip\":{\"area_mm2\":800.0,\"cols\":2,\"rows\":1}},\"cols\":2,\"rows\":1,\"i",
+        "ssue_width\":1,\"tile_bits\":131072,\"link_width_bits\":64},\"fom\":\"Edp\",\"candidat",
+        "es\":[{\"label\":\"serial\",\"mapping\":{\"Table\":{\"place\":[[0,0]],\"time\":[0]}}},{\"l",
+        "abel\":\"spread\",\"mapping\":{\"Affine\":{\"place\":{\"Grid\":{\"x\":{\"Var\":0},\"y\":{\"Con",
+        "st\":0}}},\"time\":{\"Const\":0}}}}],\"deadline_ms\":250,\"max_candidates\":2,\"conver",
+        "gence_window\":null,\"refinement\":null,\"use_cache\":false,\"cost_model\":null}}",
+    );
+
+    const TUNE_BINARY: &str = concat!(
+        "b101010203040506070808010454756e65080a0567726170680804046e616d65060370696e0a",
+        "77696474685f62697473034006696e707574730700056e6f6465730701080404657870720801",
+        "044c656166080105436f6e7374080202726505000000000000f03f02696d0500000000000000",
+        "000464657073070005696e64657807010300066f757470757401076d616368696e6508060474",
+        "6563680809046e616d650603356e6d156164645f656e657267795f666a5f7065725f62697405",
+        "000000000000e03f1061646433325f6c6174656e63795f707305000000000000694019776972",
+        "655f656e657267795f666a5f7065725f6269745f6d6d05000000000000544014776972655f64",
+        "656c61795f70735f7065725f6d6d0500000000000089400e6f6666636869705f666163746f72",
+        "050000000000002440126f6666636869705f6c6174656e63795f707305000000000088e3401b",
+        "696e737472756374696f6e5f6f766572686561645f666163746f7205000000000088c3400463",
+        "686970080308617265615f6d6d3205000000000000894004636f6c73030404726f7773030204",
+        "636f6c73030404726f777303020b69737375655f776964746803020974696c655f6269747303",
+        "8080100f6c696e6b5f77696474685f6269747303800103666f6d06034564700a63616e646964",
+        "6174657307020802056c6162656c060673657269616c076d617070696e670801055461626c65",
+        "080205706c61636507010702030003000474696d65070103000802056c6162656c0606737072",
+        "656164076d617070696e67080106416666696e65080205706c61636508010447726964080201",
+        "7808010356617203000179080105436f6e737403000474696d65080105436f6e737403000b64",
+        "6561646c696e655f6d7303f4030e6d61785f63616e64696461746573030412636f6e76657267",
+        "656e63655f77696e646f77000a726566696e656d656e7400097573655f6361636865010a636f",
+        "73745f6d6f64656c00",
+    );
+
+    const SHARD_JSON: &str = concat!(
+        "{\"TuneShard\":{\"graph\":{\"name\":\"pin\",\"width_bits\":32,\"inputs\":[],\"nodes\":[{\"e",
+        "xpr\":{\"Leaf\":{\"Const\":{\"re\":1.0,\"im\":0.0}}},\"deps\":[],\"index\":[0],\"output\":f",
+        "alse}]},\"machine\":{\"tech\":{\"name\":\"5nm\",\"add_energy_fj_per_bit\":0.5,\"add32_l",
+        "atency_ps\":200.0,\"wire_energy_fj_per_bit_mm\":80.0,\"wire_delay_ps_per_mm\":800",
+        ".0,\"offchip_factor\":10.0,\"offchip_latency_ps\":40000.0,\"instruction_overhead_",
+        "factor\":10000.0,\"chip\":{\"area_mm2\":800.0,\"cols\":2,\"rows\":1}},\"cols\":2,\"rows\"",
+        ":1,\"issue_width\":1,\"tile_bits\":131072,\"link_width_bits\":64},\"fom\":\"Time\",\"ca",
+        "ndidates\":[{\"label\":\"spread\",\"mapping\":{\"Affine\":{\"place\":{\"Grid\":{\"x\":{\"Var",
+        "\":0},\"y\":{\"Const\":0}}},\"time\":{\"Const\":0}}}}],\"start_index\":1,\"epoch\":3,\"dea",
+        "dline_ms\":null,\"stream_every\":4,\"cost_model\":\"roofline\"}}",
+    );
+
+    const SHARD_BINARY: &str = concat!(
+        "b101010203040506070808010954756e65536861726408090567726170680804046e616d6506",
+        "0370696e0a77696474685f62697473034006696e707574730700056e6f646573070108040465",
+        "7870720801044c656166080105436f6e7374080202726505000000000000f03f02696d050000",
+        "0000000000000464657073070005696e64657807010300066f757470757401076d616368696e",
+        "65080604746563680809046e616d650603356e6d156164645f656e657267795f666a5f706572",
+        "5f62697405000000000000e03f1061646433325f6c6174656e63795f70730500000000000069",
+        "4019776972655f656e657267795f666a5f7065725f6269745f6d6d0500000000000054401477",
+        "6972655f64656c61795f70735f7065725f6d6d0500000000000089400e6f6666636869705f66",
+        "6163746f72050000000000002440126f6666636869705f6c6174656e63795f70730500000000",
+        "0088e3401b696e737472756374696f6e5f6f766572686561645f666163746f72050000000000",
+        "88c3400463686970080308617265615f6d6d3205000000000000894004636f6c73030404726f",
+        "7773030204636f6c73030404726f777303020b69737375655f776964746803020974696c655f",
+        "62697473038080100f6c696e6b5f77696474685f6269747303800103666f6d060454696d650a",
+        "63616e6469646174657307010802056c6162656c0606737072656164076d617070696e670801",
+        "06416666696e65080205706c6163650801044772696408020178080103566172030001790801",
+        "05436f6e737403000474696d65080105436f6e737403000b73746172745f696e646578030205",
+        "65706f636803060b646561646c696e655f6d73000c73747265616d5f657665727903080a636f",
+        "73745f6d6f64656c0608726f6f666c696e65",
+    );
 }

@@ -56,7 +56,7 @@ use crate::protocol::{
     SessionClosedReply, SessionEditRequest, SessionEditedReply, SessionOpenRequest,
     SessionOpenedReply, SessionTuneRequest, SessionTunedReply, ShardBest, SimulateReply,
     SimulateRequest, TuneReply, TuneRequest, TuneShardBody, TuneShardPart, TuneShardPartBody,
-    TuneShardReply, TuneShardRequest, WireCandidate, WireError, BINARY_HEADER, DEFAULT_MAX_FRAME,
+    TuneShardReply, TuneShardRequest, WireError, BINARY_HEADER, DEFAULT_MAX_FRAME,
     PROTOCOL_BINARY_VERSION,
 };
 use crate::session::{EditOutcome, SessionRegistry, SessionState};
@@ -978,7 +978,7 @@ fn worker_main(shared: &Arc<Shared>) {
 /// winner lands in the cost-model observatory.
 fn exec_tune(
     shared: &Shared,
-    mut req: TuneRequest,
+    req: TuneRequest,
     cancel: &CancelToken,
     deadline: Option<Instant>,
 ) -> Response {
@@ -990,10 +990,7 @@ fn exec_tune(
         Some(fleet) if fleet.eligible(&req) => {
             fleet.tune(&req, cost_model, cancel, deadline, &shared.pool)
         }
-        _ => {
-            let candidates = std::mem::take(&mut req.candidates);
-            tune_locally(shared, &req, candidates, cost_model, cancel, deadline)
-        }
+        _ => tune_locally(shared, &req, cost_model, cancel, deadline),
     };
     if let Some(best) = &reply.best {
         let point = Evaluator::new(&req.graph, &req.machine)
@@ -1007,13 +1004,11 @@ fn exec_tune(
     Response::Tuned(reply)
 }
 
-/// Run `req` (whose `candidates` the caller moved out into
-/// `candidates`) on this server's own tuner pool, through the tuning
-/// cache when the request asks for it.
+/// Run `req` on this server's own tuner pool, through the tuning cache
+/// when the request asks for it.
 fn tune_locally(
     shared: &Shared,
     req: &TuneRequest,
-    candidates: Vec<WireCandidate>,
     cost_model: CostModelKind,
     cancel: &CancelToken,
     deadline: Option<Instant>,
@@ -1022,6 +1017,7 @@ fn tune_locally(
         graph,
         machine,
         fom,
+        candidates,
         max_candidates,
         convergence_window,
         refinement,
@@ -1029,23 +1025,13 @@ fn tune_locally(
         ..
     } = req;
     let evaluator = Evaluator::new(graph, machine).with_cost_model(cost_model);
-    let candidates: Vec<MappingCandidate> = candidates
-        .into_iter()
-        .map(|c| MappingCandidate::new(c.label, c.mapping))
-        .collect();
-    let mut budget = Budget::unlimited();
-    if let Some(n) = max_candidates {
-        budget.max_candidates = Some(*n as usize);
-    }
-    if let Some(w) = convergence_window {
-        budget.convergence_window = Some(*w as usize);
-    }
-    if let Some(d) = deadline {
-        budget.deadline = Some(d.saturating_duration_since(Instant::now()));
-    }
     let mut tuner = Tuner::new(&evaluator, graph, machine, *fom)
         .with_pool(&shared.pool)
-        .with_budget(budget)
+        .with_budget(budget(
+            max_candidates.map(|n| n as usize),
+            convergence_window.map(|w| w as usize),
+            deadline,
+        ))
         .with_cancel(cancel.clone());
     if let Some(r) = refinement {
         tuner = tuner.with_refinement(*r);
@@ -1055,22 +1041,27 @@ fn tune_locally(
             tuner = tuner.with_cache(cache.clone());
         }
     }
-    let report = tuner.tune(&candidates);
+    let report = tuner.tune(candidates);
     match report.cache {
         CacheStatus::Hit => shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed),
         CacheStatus::Miss => shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed),
         CacheStatus::Stale => shared.metrics.cache_stale.fetch_add(1, Ordering::Relaxed),
         CacheStatus::Disabled => 0,
     };
-    TuneReply {
-        best: report.best,
-        offered: report.offered as u64,
-        evaluated: report.evaluated as u64,
-        pruned: report.pruned as u64,
-        cache: report.cache.to_string(),
-        fell_back: report.fell_back,
-        cancelled: report.cancelled,
-        wall_ms: report.wall.as_secs_f64() * 1e3,
+    report.into()
+}
+
+/// The tuner budget for a request: its two deterministic limits, plus
+/// whatever is left of `deadline` right now.
+pub(crate) fn budget(
+    max_candidates: Option<usize>,
+    convergence_window: Option<usize>,
+    deadline: Option<Instant>,
+) -> Budget {
+    Budget {
+        max_candidates,
+        convergence_window,
+        deadline: deadline.map(|d| d.saturating_duration_since(Instant::now())),
     }
 }
 
@@ -1092,18 +1083,12 @@ fn exec_session_open(shared: &Shared, req: SessionOpenRequest) -> Response {
         Ok(kind) => kind,
         Err(refusal) => return Response::Failed(refusal),
     };
-    let candidates: Vec<MappingCandidate> = candidates
-        .into_iter()
-        .map(|c| MappingCandidate::new(c.label, c.mapping))
-        .collect();
     let n = candidates.len() as u64;
-    let mut budget = Budget::unlimited();
-    if let Some(n) = max_candidates {
-        budget.max_candidates = Some(n as usize);
-    }
-    if let Some(w) = convergence_window {
-        budget.convergence_window = Some(w as usize);
-    }
+    let budget = budget(
+        max_candidates.map(|n| n as usize),
+        convergence_window.map(|w| w as usize),
+        None,
+    );
     let state = SessionState::open(graph, machine, fom, candidates, budget, cost_model);
     let session_id = shared.sessions.open(state);
     shared
@@ -1235,16 +1220,7 @@ fn exec_session_tune(
         epoch: out.epoch,
         warm: out.warm,
         rebuilds: out.rebuilds,
-        reply: TuneReply {
-            best: report.best,
-            offered: report.offered as u64,
-            evaluated: report.evaluated as u64,
-            pruned: report.pruned as u64,
-            cache: report.cache.to_string(),
-            fell_back: report.fell_back,
-            cancelled: report.cancelled,
-            wall_ms: report.wall.as_secs_f64() * 1e3,
-        },
+        reply: report.into(),
     }))
 }
 
@@ -1339,23 +1315,15 @@ fn exec_tune_shard(
         Err(refusal) => return Response::Failed(refusal),
     };
     let evaluator = Evaluator::new(&graph, &machine).with_cost_model(cost_model);
-    let candidates: Vec<MappingCandidate> = candidates
-        .into_iter()
-        .map(|c| MappingCandidate::new(c.label, c.mapping))
-        .collect();
     let count = candidates.len() as u64;
     let straggle_ms = shared.config.straggle_ms_per_candidate.unwrap_or(0);
     let stream = stream_every.filter(|&k| k > 0);
     let chunk = stream.map_or(candidates.len(), |k| k as usize);
 
     let run_slice = |slice: &[MappingCandidate]| {
-        let mut budget = Budget::unlimited();
-        if let Some(d) = deadline {
-            budget.deadline = Some(d.saturating_duration_since(Instant::now()));
-        }
         Tuner::new(&evaluator, &graph, &machine, fom)
             .with_pool(&shared.pool)
-            .with_budget(budget)
+            .with_budget(budget(None, None, deadline))
             .with_cancel(cancel.clone())
             .tune(slice)
     };

@@ -45,6 +45,8 @@ use fm_core::mutate::{apply_edit, GraphEdit};
 use fm_core::search::{FigureOfMerit, MappingCandidate};
 use fm_costmodel::{CostModelKind, RooflinePoint};
 
+use crate::server::budget;
+
 /// One live session: the mutable (graph, machine) pair, the candidate
 /// list, and the warm per-candidate state repaired across edits.
 pub struct SessionState {
@@ -107,7 +109,9 @@ pub struct SessionTuneOutcome {
 
 impl SessionState {
     /// Open a session: cold-derive warm state for every candidate
-    /// against the initial graph and machine.
+    /// against the initial graph and machine. `budget`'s candidate cap
+    /// and convergence window apply to every tune; deadlines are per
+    /// tune (see [`SessionState::tune`]), so its `deadline` is unused.
     pub fn open(
         graph: DataflowGraph,
         machine: MachineConfig,
@@ -197,10 +201,11 @@ impl SessionState {
     /// assertions are on.
     pub fn tune(&mut self, deadline: Option<Instant>, cancel: &CancelToken) -> SessionTuneOutcome {
         self.last_touch = Instant::now();
-        let mut budget = self.budget;
-        if let Some(d) = deadline {
-            budget.deadline = Some(d.saturating_duration_since(Instant::now()));
-        }
+        let budget = budget(
+            self.budget.max_candidates,
+            self.budget.convergence_window,
+            deadline,
+        );
         let rebuilds_before = self.warm.rebuilds();
         let report = {
             let ev = Evaluator::new(&self.graph, &self.machine).with_cost_model(self.cost_model);

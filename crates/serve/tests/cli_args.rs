@@ -26,7 +26,7 @@ fn refused(args: &[&str], why: &str) {
     assert!(stderr.contains("usage: fm-serve"), "{args:?}: {stderr}");
 }
 
-/// All 17 flags at once. The paths are never touched: the bind fails
+/// All 12 flags at once. The paths are never touched: the bind fails
 /// first.
 #[test]
 fn every_flag_parses_and_reaches_the_bind() {
@@ -45,24 +45,14 @@ fn every_flag_parses_and_reaches_the_bind() {
         "65536",
         "--session-ttl",
         "30",
-        "--dedup",
-        "off",
         "--fleet",
         "127.0.0.1:9",
-        "--fleet-attempts",
-        "2",
         "--fleet-connect-ms",
         "50",
-        "--fleet-hedge-ms",
-        "0",
         "--fleet-admit",
         "127.0.0.1:10",
         "--fleet-ledger",
         "unused-ledger.json",
-        "--cliff-fraction",
-        "0.5",
-        "--cliff-stall-ms",
-        "100",
     ]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
@@ -70,11 +60,16 @@ fn every_flag_parses_and_reaches_the_bind() {
 }
 
 #[test]
-fn removed_fleet_flags_are_unknown_arguments() {
+fn removed_flags_are_unknown_arguments() {
     for (flag, value) in [
         ("--stream-every", "4"),
         ("--weighted", "on"),
         ("--weight-decay-tunes", "8"),
+        ("--dedup", "off"),
+        ("--fleet-attempts", "2"),
+        ("--fleet-hedge-ms", "0"),
+        ("--cliff-fraction", "0.5"),
+        ("--cliff-stall-ms", "100"),
     ] {
         refused(
             &["--fleet", "127.0.0.1:9", flag, value],
@@ -84,19 +79,11 @@ fn removed_fleet_flags_are_unknown_arguments() {
 }
 
 #[test]
-fn cliff_fraction_outside_the_unit_interval_is_refused() {
-    refused(
-        &["--fleet", "127.0.0.1:9", "--cliff-fraction", "2"],
-        "--cliff-fraction needs a value in [0, 1]",
-    );
-}
-
-#[test]
 fn fleet_knobs_without_a_fleet_are_refused() {
     for args in [
-        ["--fleet-attempts", "2"],
-        ["--fleet-hedge-ms", "100"],
-        ["--cliff-stall-ms", "100"],
+        ["--fleet-connect-ms", "50"],
+        ["--fleet-admit", "127.0.0.1:10"],
+        ["--fleet-ledger", "unused-ledger.json"],
     ] {
         refused(&args, "--fleet-* knobs need --fleet");
     }
@@ -105,6 +92,9 @@ fn fleet_knobs_without_a_fleet_are_refused() {
 #[test]
 fn malformed_values_are_refused() {
     refused(&["--workers", "many"], "--workers needs a numeric argument");
-    refused(&["--dedup", "maybe"], "--dedup needs `on` or `off`");
+    refused(
+        &["--fleet-connect-ms", "soon"],
+        "--fleet-connect-ms needs a numeric argument",
+    );
     refused(&["--fleet", ","], "--fleet needs at least one HOST:PORT");
 }

@@ -4,7 +4,7 @@
 //! throughout is the protocol-upgrade contract — *no encoding or
 //! batching choice ever changes an answer*, only how fast it arrives.
 
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener};
 use std::thread;
 use std::time::Duration;
 
@@ -14,13 +14,14 @@ use fm_core::cost::Evaluator;
 use fm_core::dataflow::{CExpr, DataflowGraph};
 use fm_core::machine::MachineConfig;
 use fm_core::mapping::{AffineMap, Mapping, PlaceExpr};
-use fm_core::search::{FigureOfMerit, MappingCandidate};
+use fm_core::search::FigureOfMerit;
 use fm_core::value::Value;
+use fm_serve::metrics::StatsReply;
 use fm_serve::protocol::{
     decode_request, read_frame, write_response, FailReply, Request, Response, TuneRequest,
-    WireCandidate, DEFAULT_MAX_FRAME,
+    TuneShardRequest, WireCandidate, DEFAULT_MAX_FRAME,
 };
-use fm_serve::server::{Server, ServerConfig};
+use fm_serve::server::{Server, ServerConfig, ServerHandle};
 use fm_serve::Client;
 
 fn wide(n: usize) -> DataflowGraph {
@@ -63,14 +64,55 @@ fn tune_request(graph: &DataflowGraph, machine: &MachineConfig, ncand: usize) ->
 
 fn direct_winner(graph: &DataflowGraph, machine: &MachineConfig, ncand: usize) -> TunedMapping {
     let evaluator = Evaluator::new(graph, machine);
-    let candidates: Vec<MappingCandidate> = affine_candidates(ncand, machine.cols)
-        .into_iter()
-        .map(|c| MappingCandidate::new(c.label, c.mapping))
-        .collect();
     Tuner::new(&evaluator, graph, machine, FigureOfMerit::Time)
-        .tune(&candidates)
+        .tune(&affine_candidates(ncand, machine.cols))
         .best
         .expect("direct tuner found a winner")
+}
+
+/// Scripted straggle per `TuneShard` candidate on
+/// [`start_one_worker`]'s server.
+const STRAGGLE_MS: u64 = 10;
+
+/// One worker, so a straggling `TuneShard` can hold it while the
+/// requests under test wait in the queue.
+fn start_one_worker() -> ServerHandle {
+    let config = ServerConfig {
+        workers: 1,
+        straggle_ms_per_candidate: Some(STRAGGLE_MS),
+        ..ServerConfig::default()
+    };
+    Server::start("127.0.0.1:0", config).unwrap()
+}
+
+fn stats(addr: SocketAddr) -> StatsReply {
+    Client::connect(addr).unwrap().stats().unwrap()
+}
+
+/// Occupy the single worker with a straggling `TuneShard` (10 s of
+/// scripted straggle): every request sent next is admitted but waits
+/// in the queue behind it. Dropping the returned client cancels the
+/// straggle and frees the worker.
+fn occupy_worker(addr: SocketAddr) -> Client {
+    let before = stats(addr).tune_shard.received;
+    let machine = MachineConfig::linear(8);
+    let mut client = Client::connect(addr).unwrap();
+    let shard = TuneShardRequest {
+        graph: wide(8),
+        candidates: affine_candidates((10_000 / STRAGGLE_MS) as usize, machine.cols),
+        machine,
+        fom: FigureOfMerit::Time,
+        start_index: 0,
+        epoch: 1,
+        deadline_ms: None,
+        stream_every: None,
+        cost_model: None,
+    };
+    client.send_request(&Request::TuneShard(shard)).unwrap();
+    while stats(addr).tune_shard.received == before {
+        thread::sleep(Duration::from_millis(1));
+    }
+    client
 }
 
 fn assert_same_winner(served: &TunedMapping, expected: &TunedMapping) {
@@ -208,17 +250,15 @@ fn negotiated_binary_winner_is_bit_identical_to_json() {
 fn pipelined_replies_complete_out_of_order() {
     let graph = wide(48);
     let machine = MachineConfig::linear(8);
-    let config = ServerConfig {
-        workers: 1,
-        ..ServerConfig::default()
-    };
-    let server = Server::start("127.0.0.1:0", config).unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let server = start_one_worker();
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr).unwrap();
     assert!(client.is_pipelined());
 
-    // Two Tunes on one worker: the first runs while the second queues,
-    // so both sit in the in-flight ledger at once (peak >= 2). The
-    // inline Ping behind them overtakes both.
+    // Two Tunes queued behind the held worker: both sit in the
+    // in-flight ledger at once (peak >= 2), and neither can finish
+    // before the inline Ping behind them is answered.
+    let blocker = occupy_worker(addr);
     let tune_a = client
         .send_request(&Request::Tune(tune_request(&graph, &machine, 24)))
         .unwrap();
@@ -235,6 +275,7 @@ fn pipelined_replies_complete_out_of_order() {
         "the inline Ping must overtake the queued Tunes"
     );
     assert!(matches!(first_resp, Response::Pong));
+    drop(blocker);
     let direct = direct_winner(&graph, &machine, 24);
     for _ in 0..2 {
         let (corr, resp) = client.recv_response().unwrap();
@@ -262,17 +303,25 @@ fn duplicate_tunes_collapse_into_one_search() {
     const DUPES: u64 = 8;
     let graph = wide(32);
     let machine = MachineConfig::linear(8);
-    let config = ServerConfig {
-        workers: 1, // one worker: the first Tune runs while the rest queue
-        ..ServerConfig::default()
-    };
-    let server = Server::start("127.0.0.1:0", config).unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let server = start_one_worker();
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr).unwrap();
 
+    // Every duplicate is queued behind the held worker. The reader
+    // answers the Ping inline only after admitting everything sent
+    // before it, and no Tune can finish while the worker is held, so
+    // the Pong arrives first and all duplicates are queued together
+    // when the worker frees up.
+    let blocker = occupy_worker(addr);
     let request = Request::Tune(tune_request(&graph, &machine, 24));
     let corrs: Vec<u64> = (0..DUPES)
         .map(|_| client.send_request(&request).unwrap())
         .collect();
+    let ping = client.send_request(&Request::Ping).unwrap();
+    let (first, first_resp) = client.recv_response().unwrap();
+    assert_eq!(first, ping, "no Tune can finish while the worker is held");
+    assert!(matches!(first_resp, Response::Pong));
+    drop(blocker);
 
     let direct = direct_winner(&graph, &machine, 24);
     let mut answered = Vec::new();
@@ -292,11 +341,11 @@ fn duplicate_tunes_collapse_into_one_search() {
     assert_eq!(answered, expected, "every duplicate got its own reply");
 
     let stats = server.shutdown_and_join();
-    assert!(
-        stats.dedup_batches >= 1,
-        "queued duplicates should have been coalesced"
+    assert_eq!(
+        stats.dedup_batches, 1,
+        "all queued duplicates coalesce into one search"
     );
-    assert!(stats.dedup_waiters_served >= 1);
+    assert_eq!(stats.dedup_waiters_served, DUPES - 1);
     assert_eq!(
         stats.tune.received, DUPES,
         "per-request accounting must survive dedup"

@@ -20,7 +20,7 @@ use fm_repro::core::machine::MachineConfig;
 use fm_repro::core::search::FigureOfMerit;
 use fm_repro::kernels::fft::{fft_graph, FftFamily, FftVariant};
 use fm_repro::serve::client::Client;
-use fm_repro::serve::protocol::{EvaluateRequest, TuneRequest, WireCandidate};
+use fm_repro::serve::protocol::{EvaluateRequest, TuneRequest};
 use fm_repro::serve::server::{Server, ServerConfig};
 
 fn main() {
@@ -49,14 +49,7 @@ fn main() {
         n: 64,
         p_values: vec![1, 2, 4, 8],
     };
-    let candidates: Vec<WireCandidate> = family
-        .candidates_for(&graph, &machine)
-        .into_iter()
-        .map(|c| WireCandidate {
-            label: c.label,
-            mapping: c.mapping,
-        })
-        .collect();
+    let candidates = family.candidates_for(&graph, &machine);
     println!(
         "tuning fft64-dit: {} nodes, {} candidates, objective EDP",
         graph.len(),
