@@ -79,13 +79,18 @@ echo "== wire-smoke: protocol negotiation + E19 quick run =="
 # not by timing; five runs in a row must all pass. Then the E19 quick
 # run: blocking JSON vs. pipelined binary sweep plus the four-arm dedup
 # trace, with winner parity and the dedup collapse asserted by the
-# binary itself.
+# binary itself. Its dedup arms also hold the worker with a straggling
+# TuneShard until every duplicate is queued, so the collapse must hold
+# on each of three runs.
 for _ in 1 2 3 4 5; do
     cargo test --release -q -p fm-serve --test protocol_negotiation
 done
 e19_dir="$(mktemp -d)"
-cargo run --release -q -p fm-bench --bin table_e19_wire -- --quick --json "$e19_dir/BENCH_e19.json" >/dev/null
-[ -s "$e19_dir/BENCH_e19.json" ] || { echo "wire-smoke: E19 emitted no JSON"; exit 1; }
+for _ in 1 2 3; do
+    rm -f "$e19_dir/BENCH_e19.json"
+    cargo run --release -q -p fm-bench --bin table_e19_wire -- --quick --json "$e19_dir/BENCH_e19.json" >/dev/null
+    [ -s "$e19_dir/BENCH_e19.json" ] || { echo "wire-smoke: E19 emitted no JSON"; exit 1; }
+done
 rm -rf "$e19_dir"
 
 echo "== costmodel-smoke: backend parity proptests + E20 quick run =="

@@ -5,8 +5,13 @@
 //! candidate set itself (labels and mappings), and the refinement
 //! configuration (annealing chains change the winner). All serialize
 //! through the serde data model; the JSON rendering is canonical here
-//! (struct fields in declaration order, maps sorted), so hashing the
-//! rendered string is a stable content fingerprint.
+//! (struct fields in declaration order, maps sorted), so its bytes are
+//! a stable content fingerprint. They are streamed through an FNV-1a
+//! sink with `serde_json::to_writer`, never rendered into a `String`:
+//! the hash equals that of the concatenated text, so keys persisted by
+//! earlier releases stay valid.
+
+use std::io;
 
 use fm_core::dataflow::DataflowGraph;
 use fm_core::machine::MachineConfig;
@@ -16,15 +21,45 @@ use fm_costmodel::CostModelKind;
 use crate::tuner::Refinement;
 
 /// FNV-1a 64 over a byte string. The one shared FNV in the workspace —
-/// the tuning-cache fingerprints here, and `fm-serve`'s wire checksums
-/// and dedup admission keys, all hash through this implementation.
+/// the tuning-cache fingerprints here and `fm-serve`'s wire checksums
+/// all hash through this implementation.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
+    let mut h = Fnv1a::new();
+    h.update(bytes);
+    h.0
+}
+
+/// An FNV-1a 64 state that is also an [`io::Write`] sink, so a value
+/// can be hashed as it is serialized instead of rendered first.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf29ce484222325)
     }
-    h
+
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    /// Hash `value`'s compact JSON rendering.
+    fn json<T: serde::Serialize + ?Sized>(&mut self, value: &T) {
+        serde_json::to_writer(&mut *self, value).expect("hashing never fails");
+    }
+}
+
+impl io::Write for Fnv1a {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.update(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Fingerprint a tuning problem under the default (analytic) cost
@@ -61,25 +96,28 @@ pub fn fingerprint_with_model(
     refinement: Option<Refinement>,
     cost_model: CostModelKind,
 ) -> u64 {
-    let mut text = String::new();
-    text.push_str(&serde_json::to_string(graph).expect("graph serializes"));
-    text.push('\u{1}');
-    text.push_str(&serde_json::to_string(machine).expect("machine serializes"));
-    text.push('\u{1}');
-    text.push_str(&serde_json::to_string(&fom).expect("fom serializes"));
-    text.push('\u{1}');
-    text.push_str(&serde_json::to_string(&refinement).expect("refinement serializes"));
+    // The bytes hashed are exactly those of the historical rendering:
+    // each component's compact JSON, `\u{1}` between components and
+    // `\u{2}` between a candidate's label and its mapping.
+    let mut h = Fnv1a::new();
+    h.json(graph);
+    h.update(b"\x01");
+    h.json(machine);
+    h.update(b"\x01");
+    h.json(&fom);
+    h.update(b"\x01");
+    h.json(&refinement);
     for c in candidates {
-        text.push('\u{1}');
-        text.push_str(&c.label);
-        text.push('\u{2}');
-        text.push_str(&serde_json::to_string(&c.mapping).expect("mapping serializes"));
+        h.update(b"\x01");
+        h.update(c.label.as_bytes());
+        h.update(b"\x02");
+        h.json(&c.mapping);
     }
     if cost_model != CostModelKind::Analytic {
-        text.push('\u{1}');
-        text.push_str(cost_model.name());
+        h.update(b"\x01");
+        h.update(cost_model.name().as_bytes());
     }
-    fnv1a64(text.as_bytes())
+    h.0
 }
 
 #[cfg(test)]
@@ -170,6 +208,29 @@ mod tests {
         assert_ne!(base, roof);
         assert_ne!(base, spatial);
         assert_ne!(roof, spatial);
+    }
+
+    #[test]
+    fn pinned_to_golden_values() {
+        let g = tiny("a");
+        let m = MachineConfig::linear(4);
+        let cands = vec![MappingCandidate::new("serial", Mapping::serial(&g))];
+        let refined = Refinement {
+            chains: 4,
+            iters: 100,
+            seed: 1,
+        };
+        let fp = |refinement, model| {
+            fingerprint_with_model(&g, &m, FigureOfMerit::Edp, &cands, refinement, model)
+        };
+        // Persisted cache entries are keyed by these exact values: a
+        // change here orphans every cache on disk.
+        assert_eq!(fp(None, CostModelKind::Analytic), 0x0dfea0ea8296858b);
+        assert_eq!(
+            fp(Some(refined), CostModelKind::Analytic),
+            0x4af16b1573ee2354
+        );
+        assert_eq!(fp(None, CostModelKind::Roofline), 0x75903058a529ddc6);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!    per-request p50 (median inter-completion gap for the pipelined
 //!    arm, cross-checked against wall/M).
 //! 2. **Dedup** (part B): a duplicate-heavy trace (K identical Tunes
-//!    queued behind a filler) collapses into one search under
+//!    queued behind a held worker) collapses into one search under
 //!    `dedup_tunes` — the server's books say how many searches really
 //!    ran — and every one of the four arms (JSON/binary ×
 //!    dedup-on/off) hands back the **bit-identical** winner, asserted
@@ -28,7 +28,8 @@ use fm_core::search::FigureOfMerit;
 use fm_core::value::Value;
 use fm_serve::client::Client;
 use fm_serve::protocol::{
-    EvaluateRequest, Request, Response, SimulateRequest, TuneRequest, WireCandidate,
+    EvaluateRequest, Request, Response, SimulateRequest, TuneRequest, TuneShardRequest,
+    WireCandidate,
 };
 use fm_serve::server::{Server, ServerConfig};
 use serde::Serialize;
@@ -69,13 +70,14 @@ pub struct DedupRow {
     /// Identical Tune requests issued.
     pub dupes: u64,
     /// Searches the server actually executed for them
-    /// (`completed - waiters_served`, excluding the filler).
+    /// (`completed - waiters_served`).
     pub searches_executed: u64,
     /// Requests answered from another request's search.
     pub waiters_served: u64,
     /// Dedup batches the server formed.
     pub dedup_batches: u64,
-    /// Wall time to answer all duplicates, ms.
+    /// Wall time to answer all duplicates once the worker is
+    /// released, ms.
     pub wall_ms: f64,
     /// Winning candidate label (identical across every arm).
     pub winner: String,
@@ -267,14 +269,46 @@ fn assert_same_winner(got: &TunedMapping, expected: &TunedMapping, arm: &str) {
     );
 }
 
-/// One arm of part B. A non-duplicate filler Tune occupies the single
-/// worker first so every duplicate is *queued* when the worker gets to
-/// them — the scenario dedup batching exists for.
+/// Scripted per-candidate straggle of part B's servers, ms.
+const STRAGGLE_MS: u64 = 10;
+
+/// Hold the single worker with a straggling `TuneShard` (10 s of
+/// scripted straggle, streamed one candidate per part). Returns once
+/// the first part arrives, so the shard is executing and the queue is
+/// empty. Dropping the returned client cancels the straggle and frees
+/// the worker.
+fn occupy_worker(addr: std::net::SocketAddr) -> Client {
+    let machine = MachineConfig::linear(8);
+    let mut client = Client::connect(addr).expect("connect blocker");
+    let shard = TuneShardRequest {
+        graph: wide(8),
+        candidates: candidates((10_000 / STRAGGLE_MS) as usize, machine.cols),
+        machine,
+        fom: FigureOfMerit::Time,
+        start_index: 0,
+        epoch: 1,
+        deadline_ms: None,
+        stream_every: Some(1),
+        cost_model: None,
+    };
+    client
+        .send_request(&Request::TuneShard(shard))
+        .expect("send blocker");
+    match client.recv_response().expect("first blocker part") {
+        (_, Response::TuneShardPart(_)) => client,
+        (_, other) => panic!("blocker: expected a streamed part, got {}", other.kind()),
+    }
+}
+
+/// One arm of part B. A straggling `TuneShard` holds the single worker
+/// until every duplicate is queued — the scenario dedup batching
+/// exists for — so the arm's books do not depend on timing.
 fn dedup_arm(binary: bool, dedup: bool, dupes: u64, expected: &TunedMapping) -> DedupRow {
     let graph = wide(32);
     let machine = MachineConfig::linear(8);
     let config = ServerConfig {
         workers: 1,
+        straggle_ms_per_candidate: Some(STRAGGLE_MS),
         dedup_tunes: dedup,
         ..ServerConfig::default()
     };
@@ -285,22 +319,27 @@ fn dedup_arm(binary: bool, dedup: bool, dupes: u64, expected: &TunedMapping) -> 
         if binary { "binary" } else { "json" },
         if dedup { "on" } else { "off" }
     );
-
-    // Filler: same shape, different candidate count, so it shares no
-    // dedup fingerprint with the duplicates.
-    let filler = Request::Tune(tune_request(&graph, &machine, 40));
     let dupe = Request::Tune(tune_request(&graph, &machine, 24));
+    let blocker = occupy_worker(addr);
 
-    let t0 = Instant::now();
-    let wall_ms;
-    if binary {
+    let wall_ms = if binary {
+        // The reader answers a Ping inline only after admitting every
+        // frame sent before it, and no Tune can finish while the
+        // worker is held, so the Pong means every duplicate is queued.
         let mut client = Client::connect(addr).expect("connect");
         assert!(client.is_pipelined());
-        client.send_request(&filler).expect("send filler");
         for _ in 0..dupes {
             client.send_request(&dupe).expect("send dupe");
         }
-        for _ in 0..=dupes {
+        let ping = client.send_request(&Request::Ping).expect("send ping");
+        let (first, pong) = client.recv_response().expect("recv pong");
+        assert!(
+            first == ping && matches!(pong, Response::Pong),
+            "{arm}: no Tune can finish while the worker is held"
+        );
+        let t0 = Instant::now();
+        drop(blocker);
+        for _ in 0..dupes {
             let (_corr, resp) = client.recv_response().expect("recv");
             match resp {
                 Response::Tuned(r) => {
@@ -309,28 +348,14 @@ fn dedup_arm(binary: bool, dedup: bool, dupes: u64, expected: &TunedMapping) -> 
                 other => panic!("{arm}: unexpected reply {}", other.kind()),
             }
         }
-        wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        t0.elapsed().as_secs_f64() * 1e3
     } else {
-        // The old client's shape: one JSON connection per duplicate,
-        // all released together while the filler holds the worker.
-        let mut filler_client = Client::connect_json(addr).expect("connect filler");
-        let filler_join = {
-            let filler = filler.clone();
-            std::thread::spawn(move || {
-                let corr = filler_client.send_request(&filler).unwrap();
-                let (rcorr, resp) = filler_client.recv_response().unwrap();
-                assert_eq!(corr, rcorr);
-                assert!(matches!(resp, Response::Tuned(_)));
-            })
-        };
-        let barrier = std::sync::Arc::new(std::sync::Barrier::new(dupes as usize));
+        // The old client's shape: one JSON connection per duplicate.
         let joins: Vec<_> = (0..dupes)
             .map(|_| {
                 let dupe = dupe.clone();
-                let barrier = barrier.clone();
                 let mut client = Client::connect_json(addr).expect("connect dupe");
                 std::thread::spawn(move || {
-                    barrier.wait();
                     let corr = client.send_request(&dupe).unwrap();
                     let (rcorr, resp) = client.recv_response().unwrap();
                     assert_eq!(corr, rcorr);
@@ -341,16 +366,24 @@ fn dedup_arm(binary: bool, dedup: bool, dupes: u64, expected: &TunedMapping) -> 
                 })
             })
             .collect();
+        // Nothing leaves the queue while the worker is held, so its
+        // high-water mark reaches `dupes` exactly when every duplicate
+        // is queued.
+        let mut stats_client = Client::connect(addr).expect("connect stats");
+        while stats_client.stats().expect("stats").queue_peak < dupes {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let t0 = Instant::now();
+        drop(blocker);
         for j in joins {
             let winner = j.join().expect("dupe thread");
             assert_same_winner(&winner, expected, &arm);
         }
-        wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        filler_join.join().expect("filler thread");
-    }
+        t0.elapsed().as_secs_f64() * 1e3
+    };
 
     let stats = server.shutdown_and_join();
-    let tunes = stats.tune.completed.saturating_sub(1); // minus the filler
+    let tunes = stats.tune.completed;
     assert_eq!(tunes, dupes, "{arm}: every duplicate must be answered");
     if !dedup {
         assert_eq!(stats.dedup_batches, 0, "{arm}: dedup was off");
@@ -426,7 +459,7 @@ pub fn run(quick: bool) -> Results {
     }
 
     // The headline collapse: with dedup on, duplicates queued behind
-    // the filler are answered by far fewer real searches.
+    // the held worker are answered by far fewer real searches.
     for row in dedup.iter().filter(|r| r.dedup) {
         assert!(
             row.dedup_batches >= 1 && row.waiters_served >= dupes / 2,
@@ -478,7 +511,7 @@ pub fn print(results: &Results) -> String {
         ],
         &sweep_rows,
     ));
-    out.push_str("\nPart B: K identical Tunes queued behind a filler (1 worker)\n\n");
+    out.push_str("\nPart B: K identical Tunes queued behind a held worker (1 worker)\n\n");
     let dedup_rows: Vec<Vec<String>> = results
         .dedup
         .iter()

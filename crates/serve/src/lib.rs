@@ -42,9 +42,9 @@
 //! return in completion order, so a cheap `Ping` overtakes a long
 //! `Tune` queued ahead of it. A connection that never negotiated
 //! pipelining keeps one request in flight and answers in request
-//! order. Queued `Tune` requests with identical bodies are deduplicated
-//! into one search whose answer fans out to every waiter
-//! ([`ServerConfig::dedup_tunes`](server::ServerConfig::dedup_tunes)
+//! order. Queued `Tune`s equal but for their deadline (decoded requests
+//! compared; nothing rendered) share one search fanned out to every
+//! waiter ([`ServerConfig::dedup_tunes`](server::ServerConfig::dedup_tunes)
 //! disables this).
 //!
 //! Any work request may instead receive `Busy` (bounded admission

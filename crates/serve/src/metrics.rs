@@ -182,7 +182,7 @@ pub struct Metrics {
     /// pipelined connection can exceed 1.
     pub inflight_peak: AtomicU64,
     /// Dedup batches executed: one queued `Tune` ran on behalf of
-    /// itself plus at least one fingerprint-identical waiter.
+    /// itself plus at least one equal queued waiter.
     pub dedup_batches: AtomicU64,
     /// Queued `Tune` requests answered from another request's search
     /// (the waiters; the requests that never ran their own search).

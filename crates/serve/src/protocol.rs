@@ -1012,16 +1012,16 @@ fn fill(
 
 /// Serialize a request to frame-payload bytes.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    serde_json::to_string(req)
-        .expect("requests always serialize")
-        .into_bytes()
+    let mut out = Vec::new();
+    serde_json::to_writer(&mut out, req).expect("requests always serialize");
+    out
 }
 
 /// Serialize a response to frame-payload bytes.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    serde_json::to_string(resp)
-        .expect("responses always serialize")
-        .into_bytes()
+    let mut out = Vec::new();
+    serde_json::to_writer(&mut out, resp).expect("responses always serialize");
+    out
 }
 
 /// Decode a request from frame-payload bytes.

@@ -93,13 +93,13 @@ pub struct ServerConfig {
     /// close touched them). `None` keeps sessions until closed — fine
     /// for trusted clients, a leak under crash-prone ones.
     pub session_ttl: Option<Duration>,
-    /// Coalesce queued `Tune` requests with identical content (same
-    /// graph, machine, objective, candidates, and search knobs —
-    /// deadlines excluded) into one search whose result fans out to
-    /// every waiter. The search is deterministic, so the waiters get
-    /// bit-identical winners to the searches they skipped. The batch
-    /// runs under the *first* request's cancellation token; a waiter
-    /// disconnecting does not stop it.
+    /// Coalesce queued `Tune` requests equal to the one a worker is
+    /// about to run (decoded fields compared, `deadline_ms` excluded;
+    /// a NaN never matches, `-0.0` matches `0.0`) into one search whose
+    /// result fans out to every waiter. The search is deterministic, so
+    /// waiters get bit-identical winners to the searches they skipped.
+    /// The batch runs under the *first* request's cancellation token; a
+    /// waiter disconnecting does not stop it.
     pub dedup_tunes: bool,
 }
 
@@ -165,10 +165,6 @@ struct Job {
     accepted: Instant,
     deadline: Option<Instant>,
     cancel: CancelToken,
-    /// Dedup key for queued `Tune` coalescing: content hash plus the
-    /// full canonical string (equality is checked on the string, so an
-    /// FNV collision can never merge two different searches).
-    fingerprint: Option<(u64, Arc<String>)>,
     reply: Reply,
 }
 
@@ -245,28 +241,17 @@ impl Shared {
         }
     }
 
-    /// Remove every queued job whose dedup fingerprint equals `key`
-    /// (hash *and* canonical string — a hash collision never merges
-    /// two different searches). The caller answers them all from one
+    /// Remove every queued `Tune` that asks the same question as
+    /// `primary` ([`same_tune`]). The caller answers them all from one
     /// execution.
-    fn take_matching(&self, key: &(u64, Arc<String>)) -> Vec<Job> {
-        let mut taken = Vec::new();
-        let depth = {
+    fn take_matching(&self, primary: &TuneRequest) -> VecDeque<Job> {
+        let (taken, depth) = {
             let mut q = self.queue.lock();
-            let mut kept = VecDeque::with_capacity(q.jobs.len());
-            for job in q.jobs.drain(..) {
-                let dup = job
-                    .fingerprint
-                    .as_ref()
-                    .is_some_and(|(h, s)| *h == key.0 && **s == *key.1);
-                if dup {
-                    taken.push(job);
-                } else {
-                    kept.push_back(job);
-                }
-            }
+            let (taken, kept): (VecDeque<Job>, _) = std::mem::take(&mut q.jobs)
+                .into_iter()
+                .partition(|job| matches!(&job.request, Request::Tune(t) if same_tune(primary, t)));
             q.jobs = kept;
-            q.jobs.len()
+            (taken, q.jobs.len())
         };
         if !taken.is_empty() {
             self.metrics.queue_popped(depth);
@@ -275,28 +260,35 @@ impl Shared {
     }
 }
 
-/// Dedup key for a queued `Tune`: FNV-1a over a canonical rendering of
-/// everything that determines the search result — the same components
-/// the tuning cache fingerprints — plus the admission knobs that shape
-/// the reply. Deadlines are deliberately excluded: two callers asking
-/// the same question with different patience still share one search.
-fn tune_dedup_key(req: &TuneRequest) -> (u64, Arc<String>) {
-    let mut text = String::new();
-    for part in [
-        serde_json::to_string(&req.graph).expect("graph serializes"),
-        serde_json::to_string(&req.machine).expect("machine serializes"),
-        serde_json::to_string(&req.fom).expect("fom serializes"),
-        serde_json::to_string(&req.candidates).expect("candidates serialize"),
-        serde_json::to_string(&req.max_candidates).expect("budget serializes"),
-        serde_json::to_string(&req.convergence_window).expect("budget serializes"),
-        serde_json::to_string(&req.refinement).expect("refinement serializes"),
-        serde_json::to_string(&req.use_cache).expect("flag serializes"),
-        serde_json::to_string(&req.cost_model).expect("cost model serializes"),
-    ] {
-        text.push_str(&part);
-        text.push('\u{1}');
-    }
-    (crate::protocol::fnv1a64(text.as_bytes()), Arc::new(text))
+/// Whether two `Tune`s ask the same question: equal (derived
+/// `PartialEq`) in every field but `deadline_ms`. The destructuring is
+/// exhaustive, so a new field forces a decision here. Floats compare
+/// as IEEE values: a NaN never coalesces, even bit-identical (a
+/// rendered key wrote NaN and ±inf alike as `null`, letting different
+/// problems share one search), and `-0.0` coalesces with `0.0`.
+fn same_tune(a: &TuneRequest, b: &TuneRequest) -> bool {
+    let TuneRequest {
+        graph,
+        machine,
+        fom,
+        candidates,
+        deadline_ms: _,
+        max_candidates,
+        convergence_window,
+        refinement,
+        use_cache,
+        cost_model,
+    } = a;
+    // Cheap scalars first; the graph, usually the bulk, last.
+    *fom == b.fom
+        && *max_candidates == b.max_candidates
+        && *convergence_window == b.convergence_window
+        && *refinement == b.refinement
+        && *use_cache == b.use_cache
+        && *cost_model == b.cost_model
+        && *machine == b.machine
+        && *candidates == b.candidates
+        && *graph == b.graph
 }
 
 /// Resolve a request's optional `cost_model` name. Unknown names are a
@@ -514,10 +506,14 @@ fn acceptor_main(shared: &Arc<Shared>, listener: TcpListener) {
                 }
                 shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
                 let shared2 = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
+                // A failed spawn drops the stream with the closure: that
+                // one connection is closed, and the acceptor goes on.
+                let Ok(handle) = std::thread::Builder::new()
                     .name("fm-serve-conn".to_string())
                     .spawn(move || serve_connection(&shared2, stream))
-                    .expect("spawn connection thread");
+                else {
+                    continue;
+                };
                 // Reap finished connection threads as new ones arrive,
                 // so a long-running server holds handles only for the
                 // connections still open.
@@ -781,10 +777,6 @@ fn admit(
     let deadline = work_deadline_ms(&work, shared.config.default_deadline_ms)
         .map(|ms| accepted + Duration::from_millis(ms));
     let cancel = CancelToken::new();
-    let fingerprint = match &work {
-        Request::Tune(t) if shared.config.dedup_tunes => Some(tune_dedup_key(t)),
-        _ => None,
-    };
     let depth = ledger.enter(tag.corr, cancel.clone());
     shared
         .metrics
@@ -795,7 +787,6 @@ fn admit(
         accepted,
         deadline,
         cancel,
-        fingerprint,
         reply: Reply {
             tag,
             tx: tx.clone(),
@@ -877,7 +868,6 @@ fn worker_main(shared: &Arc<Shared>) {
             accepted,
             deadline,
             cancel,
-            fingerprint,
             reply,
         } = job;
         let endpoint_name = request.endpoint();
@@ -900,9 +890,9 @@ fn worker_main(shared: &Arc<Shared>) {
         // the claim — fanning a degraded best-effort fallback out to
         // waiters whose own deadlines may still be generous would
         // trade their correctness for speed.
-        let waiters = match (&fingerprint, expired) {
-            (Some(key), false) => shared.take_matching(key),
-            _ => Vec::new(),
+        let waiters = match &request {
+            Request::Tune(t) if shared.config.dedup_tunes && !expired => shared.take_matching(t),
+            _ => VecDeque::new(),
         };
 
         let response = catch_unwind(AssertUnwindSafe(|| match request {
@@ -1490,6 +1480,81 @@ fn exec_simulate(req: SimulateRequest) -> Response {
 mod tests {
     use super::*;
     use crate::protocol::{read_response, write_request};
+    use fm_autotune::Refinement;
+    use fm_core::dataflow::{CExpr, DataflowGraph};
+    use fm_core::mapping::Mapping;
+    use fm_core::search::FigureOfMerit;
+    use fm_core::value::Value;
+
+    fn graph(n: usize) -> DataflowGraph {
+        let mut g = DataflowGraph::new("dedup", 32);
+        for i in 0..n {
+            g.add_node(CExpr::konst(Value::real(i as f64)), vec![], vec![i as i64]);
+        }
+        g
+    }
+
+    fn tune(n: usize) -> TuneRequest {
+        let g = graph(n);
+        TuneRequest {
+            candidates: vec![MappingCandidate::new("serial", Mapping::serial(&g))],
+            graph: g,
+            machine: MachineConfig::linear(4),
+            fom: FigureOfMerit::Time,
+            deadline_ms: None,
+            max_candidates: None,
+            convergence_window: None,
+            refinement: None,
+            use_cache: false,
+            cost_model: None,
+        }
+    }
+
+    #[test]
+    fn dedup_coalesces_exactly_the_requests_equal_but_for_their_deadline() {
+        type Edit = fn(&mut TuneRequest);
+        let apart: [(&str, Edit); 10] = [
+            ("graph", |r| r.graph = graph(3)),
+            ("machine", |r| r.machine = MachineConfig::linear(8)),
+            ("fom", |r| r.fom = FigureOfMerit::Energy),
+            ("candidates", |r| r.candidates[0].label = "other".into()),
+            ("max_candidates", |r| r.max_candidates = Some(1)),
+            ("convergence_window", |r| r.convergence_window = Some(1)),
+            ("refinement", |r| {
+                r.refinement = Some(Refinement {
+                    chains: 1,
+                    iters: 1,
+                    seed: 0,
+                })
+            }),
+            ("use_cache", |r| r.use_cache = true),
+            ("cost_model", |r| r.cost_model = Some("roofline".into())),
+            ("cost_model default", |r| {
+                r.cost_model = Some("analytic".into())
+            }),
+        ];
+        let base = tune(2);
+        let mut patient = tune(2);
+        patient.deadline_ms = Some(5_000);
+        assert!(same_tune(&base, &patient), "deadline alone never separates");
+        assert!(same_tune(&patient, &base));
+        for (field, edit) in apart {
+            let mut other = tune(2);
+            edit(&mut other);
+            assert!(!same_tune(&base, &other), "{field} must keep them apart");
+            assert!(!same_tune(&other, &base), "{field} must keep them apart");
+        }
+
+        // Floats compare as IEEE values on the decoded request.
+        let mut nan = tune(2);
+        nan.machine.tech.wire_energy_fj_per_bit_mm = f64::NAN;
+        assert!(!same_tune(&nan, &nan.clone()), "a NaN never coalesces");
+        let mut neg_zero = tune(2);
+        neg_zero.machine.tech.wire_energy_fj_per_bit_mm = -0.0;
+        let mut pos_zero = tune(2);
+        pos_zero.machine.tech.wire_energy_fj_per_bit_mm = 0.0;
+        assert!(same_tune(&neg_zero, &pos_zero), "-0.0 coalesces with 0.0");
+    }
 
     #[test]
     fn finished_connection_threads_are_reaped_on_accept() {
