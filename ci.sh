@@ -85,6 +85,14 @@ echo "== wire-smoke: protocol negotiation + E19 quick run =="
 for _ in 1 2 3 4 5; do
     cargo test --release -q -p fm-serve --test protocol_negotiation
 done
+# Hostile nesting (binary and JSON) and the streamed-codec oracle
+# proptest again in release: the decoders recurse through typed values,
+# and stack frames differ between debug and release, while the suite
+# above runs debug only.
+cargo test --release -q -p fm-serve --test hostile_input
+cargo test --release -q -p fm-serve --test connection_loop deeply_nested_json
+cargo test --release -q -p fm-serve --lib protocol::codec_oracle
+cargo test --release -q -p serde_json nesting_is_bounded
 e19_dir="$(mktemp -d)"
 for _ in 1 2 3; do
     rm -f "$e19_dir/BENCH_e19.json"

@@ -15,7 +15,7 @@
 //! either JSON (the original wire format, still accepted verbatim) or
 //! the compact binary envelope — a `0xB1` magic byte, a codec version,
 //! an 8-byte correlation id, then the varint-packed binary encoding of
-//! the same externally-tagged value tree the JSON form serializes.
+//! the same externally-tagged data model the JSON form serializes.
 //! Clients opt in per connection with a `Hello` handshake; servers
 //! that predate negotiation answer `Failed{kind:"protocol"}` and the
 //! client transparently falls back to JSON. Requests:

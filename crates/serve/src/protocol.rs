@@ -2,13 +2,13 @@
 //!
 //! Every message on the wire is one **frame**: a 4-byte big-endian
 //! payload length followed by the payload. The payload comes in two
-//! interchangeable encodings of the *same* serde value tree:
+//! interchangeable encodings of the *same* serde data model:
 //!
 //! * **JSON text** — the bring-up encoding; debuggable (`nc` +
 //!   eyeballs) and what every client generation speaks.
 //! * **Binary envelope** — a [`BINARY_MAGIC`] byte, a version byte, an
 //!   8-byte correlation id, then a compact tag-prefixed encoding of
-//!   the value tree (varint integers, raw IEEE-754 floats,
+//!   the same values (varint integers, raw IEEE-754 floats,
 //!   length-prefixed strings). Negotiated with [`Request::Hello`] /
 //!   [`Response::HelloAck`]; the correlation id lets many requests
 //!   ride one connection concurrently and complete out of order.
@@ -1060,24 +1060,19 @@ pub fn read_response(r: &mut impl std::io::Read, max: usize) -> Result<Response,
 
 // ---- binary framing -------------------------------------------------
 //
-// The compact encoding serializes the same `serde::Json` value tree
-// the JSON text encoding renders, so *every* request and response
-// variant — present and future — is covered automatically, and the
-// two encodings are interconvertible losslessly (same data model, two
-// surfaces). A binary payload is an **envelope**:
+// The compact encoding is `serde::binary`: the same data model the JSON
+// text encoding writes, so *every* request and response variant —
+// present and future — is covered automatically, and the two encodings
+// are interconvertible losslessly (one data model, two surfaces). Both
+// stream: the derived `Serialize` writes straight into the envelope
+// buffer and the derived `Deserialize` reads straight from the frame,
+// with no value tree in between. A binary payload is an **envelope**:
 //
 //   byte 0      BINARY_MAGIC (0xB1)
 //   byte 1      binary protocol version
 //   bytes 2..10 correlation id, big-endian u64
-//   bytes 10..  the value, tag-prefixed:
-//
-//   0x00 null       0x01 false        0x02 true
-//   0x03 i64        zigzag LEB128 varint
-//   0x04 u64        LEB128 varint
-//   0x05 f64        8 bytes, little-endian IEEE-754 bits
-//   0x06 string     varint byte length + UTF-8 bytes
-//   0x07 array      varint count + elements
-//   0x08 object     varint count + (string key, value) pairs
+//   bytes 10..  the value, tag-prefixed (the tag table is in
+//               `serde::binary`'s docs)
 //
 // `0xB1` is a UTF-8 continuation byte: no valid JSON text can start
 // with it, so one-byte sniffing distinguishes the encodings per frame
@@ -1095,194 +1090,29 @@ pub const PROTOCOL_BINARY_VERSION: u8 = 1;
 /// Envelope header length: magic, version, correlation id.
 pub const BINARY_HEADER: usize = 10;
 
-/// Deepest value nesting the binary decoder accepts. Generous for
-/// real traffic (expression trees nest tens deep, not hundreds) while
-/// keeping a hostile `[[[[…` payload from exhausting the stack.
-pub const BINARY_MAX_DEPTH: usize = 512;
+/// Deepest value nesting the binary decoder accepts (the JSON text
+/// parser uses the same bound). Generous for real traffic (expression
+/// trees nest tens deep, not hundreds) while keeping a hostile
+/// `[[[[…` payload from exhausting the stack.
+pub const BINARY_MAX_DEPTH: usize = serde::MAX_DEPTH;
 
 /// Does this frame payload carry the binary envelope (vs JSON text)?
 pub fn is_binary(payload: &[u8]) -> bool {
     payload.first() == Some(&BINARY_MAGIC)
 }
 
-fn put_varint(mut n: u64, out: &mut Vec<u8>) {
-    loop {
-        let byte = (n & 0x7f) as u8;
-        n >>= 7;
-        if n == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn zigzag(n: i64) -> u64 {
-    ((n << 1) ^ (n >> 63)) as u64
-}
-
-fn unzigzag(n: u64) -> i64 {
-    ((n >> 1) as i64) ^ -((n & 1) as i64)
-}
-
-fn put_value(v: &serde::Json, out: &mut Vec<u8>) {
-    use serde::Json;
-    match v {
-        Json::Null => out.push(0x00),
-        Json::Bool(false) => out.push(0x01),
-        Json::Bool(true) => out.push(0x02),
-        Json::I64(n) => {
-            out.push(0x03);
-            put_varint(zigzag(*n), out);
-        }
-        Json::U64(n) => {
-            out.push(0x04);
-            put_varint(*n, out);
-        }
-        Json::F64(f) => {
-            out.push(0x05);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Json::Str(s) => {
-            out.push(0x06);
-            put_varint(s.len() as u64, out);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Json::Arr(items) => {
-            out.push(0x07);
-            put_varint(items.len() as u64, out);
-            for item in items {
-                put_value(item, out);
-            }
-        }
-        Json::Obj(fields) => {
-            out.push(0x08);
-            put_varint(fields.len() as u64, out);
-            for (k, val) in fields {
-                put_varint(k.len() as u64, out);
-                out.extend_from_slice(k.as_bytes());
-                put_value(val, out);
-            }
-        }
-    }
-}
-
-/// Bounds-checked reader over a binary payload. Every accessor
-/// surfaces out-of-bounds input as [`WireError::Malformed`] — the
-/// binary decoder never panics and never reads past the frame.
-struct BinReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BinReader<'a> {
-    fn byte(&mut self) -> Result<u8, WireError> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| WireError::Malformed("binary payload ends mid-value".into()))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| WireError::Malformed("binary payload ends mid-value".into()))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn varint(&mut self) -> Result<u64, WireError> {
-        let mut n: u64 = 0;
-        for shift in (0..64).step_by(7) {
-            let byte = self.byte()?;
-            let bits = (byte & 0x7f) as u64;
-            if shift == 63 && bits > 1 {
-                return Err(WireError::Malformed("varint overflows u64".into()));
-            }
-            n |= bits << shift;
-            if byte & 0x80 == 0 {
-                return Ok(n);
-            }
-        }
-        Err(WireError::Malformed("varint longer than 10 bytes".into()))
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.varint()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|e| WireError::Malformed(format!("binary string not UTF-8: {e}")))
-    }
-
-    fn value(&mut self, depth: usize) -> Result<serde::Json, WireError> {
-        use serde::Json;
-        if depth > BINARY_MAX_DEPTH {
-            return Err(WireError::Malformed(format!(
-                "binary value nests deeper than {BINARY_MAX_DEPTH}"
-            )));
-        }
-        match self.byte()? {
-            0x00 => Ok(Json::Null),
-            0x01 => Ok(Json::Bool(false)),
-            0x02 => Ok(Json::Bool(true)),
-            0x03 => Ok(Json::I64(unzigzag(self.varint()?))),
-            0x04 => Ok(Json::U64(self.varint()?)),
-            0x05 => {
-                let raw: [u8; 8] = self.take(8)?.try_into().expect("take returned 8 bytes");
-                Ok(Json::F64(f64::from_bits(u64::from_le_bytes(raw))))
-            }
-            0x06 => Ok(Json::Str(self.string()?)),
-            0x07 => {
-                let count = self.varint()? as usize;
-                // Each element costs ≥ 1 byte: cap the preallocation by
-                // what the frame can actually still hold, so a lying
-                // count cannot balloon memory before the decode fails.
-                let mut items = Vec::with_capacity(count.min(self.remaining()));
-                for _ in 0..count {
-                    items.push(self.value(depth + 1)?);
-                }
-                Ok(Json::Arr(items))
-            }
-            0x08 => {
-                let count = self.varint()? as usize;
-                let mut fields = Vec::with_capacity(count.min(self.remaining() / 2));
-                for _ in 0..count {
-                    let key = self.string()?;
-                    let val = self.value(depth + 1)?;
-                    fields.push((key, val));
-                }
-                Ok(Json::Obj(fields))
-            }
-            tag => Err(WireError::Malformed(format!(
-                "unknown binary value tag {tag:#04x}"
-            ))),
-        }
-    }
-}
-
-fn encode_envelope(corr: u64, v: &serde::Json) -> Vec<u8> {
+fn encode_envelope<T: Serialize + ?Sized>(corr: u64, v: &T) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.push(BINARY_MAGIC);
     out.push(PROTOCOL_BINARY_VERSION);
     out.extend_from_slice(&corr.to_be_bytes());
-    put_value(v, &mut out);
+    serde::binary::write(v, &mut out);
     out
 }
 
-/// Decode a binary envelope to its correlation id and value tree.
-/// Rejects a wrong magic, an unknown version, truncation anywhere,
-/// and trailing garbage after the value — all as typed
-/// [`WireError::Malformed`] (never a panic, never over-allocation).
-pub fn decode_binary_envelope(payload: &[u8]) -> Result<(u64, serde::Json), WireError> {
+/// Decode a binary envelope straight into a typed value (see
+/// [`decode_binary_envelope`] for what it rejects).
+fn decode_envelope<T: Deserialize>(payload: &[u8]) -> Result<(u64, T), WireError> {
     if payload.len() < BINARY_HEADER {
         return Err(WireError::Malformed(format!(
             "binary envelope needs {BINARY_HEADER} header bytes, got {}",
@@ -1302,28 +1132,27 @@ pub fn decode_binary_envelope(payload: &[u8]) -> Result<(u64, serde::Json), Wire
         )));
     }
     let corr = u64::from_be_bytes(payload[2..BINARY_HEADER].try_into().expect("8 bytes"));
-    let mut r = BinReader {
-        bytes: payload,
-        pos: BINARY_HEADER,
-    };
-    let value = r.value(0)?;
-    if r.remaining() != 0 {
-        return Err(WireError::Malformed(format!(
-            "{} trailing bytes after binary value",
-            r.remaining()
-        )));
-    }
+    let value = serde::binary::from_slice(&payload[BINARY_HEADER..])
+        .map_err(|e| WireError::Malformed(e.to_string()))?;
     Ok((corr, value))
+}
+
+/// Decode a binary envelope to its correlation id and value tree.
+/// Rejects a wrong magic, an unknown version, truncation anywhere,
+/// and trailing garbage after the value — all as typed
+/// [`WireError::Malformed`] (never a panic, never over-allocation).
+pub fn decode_binary_envelope(payload: &[u8]) -> Result<(u64, serde::Json), WireError> {
+    decode_envelope(payload)
 }
 
 /// Serialize a request to a binary envelope payload.
 pub fn encode_request_binary(corr: u64, req: &Request) -> Vec<u8> {
-    encode_envelope(corr, &req.to_json())
+    encode_envelope(corr, req)
 }
 
 /// Serialize a response to a binary envelope payload.
 pub fn encode_response_binary(corr: u64, resp: &Response) -> Vec<u8> {
-    encode_envelope(corr, &resp.to_json())
+    encode_envelope(corr, resp)
 }
 
 /// Decode a request from either encoding, sniffed by the first byte.
@@ -1332,8 +1161,7 @@ pub fn encode_response_binary(corr: u64, resp: &Response) -> Vec<u8> {
 /// negotiated pipelining keeps one request in flight).
 pub fn decode_request_any(payload: &[u8]) -> Result<(u64, Request, bool), WireError> {
     if is_binary(payload) {
-        let (corr, value) = decode_binary_envelope(payload)?;
-        let req = Request::from_json(&value).map_err(|e| WireError::Malformed(e.to_string()))?;
+        let (corr, req) = decode_envelope(payload)?;
         Ok((corr, req, true))
     } else {
         Ok((0, decode_request(payload)?, false))
@@ -1344,8 +1172,7 @@ pub fn decode_request_any(payload: &[u8]) -> Result<(u64, Request, bool), WireEr
 /// Returns `(correlation id, response, was_binary)`.
 pub fn decode_response_any(payload: &[u8]) -> Result<(u64, Response, bool), WireError> {
     if is_binary(payload) {
-        let (corr, value) = decode_binary_envelope(payload)?;
-        let resp = Response::from_json(&value).map_err(|e| WireError::Malformed(e.to_string()))?;
+        let (corr, resp) = decode_envelope(payload)?;
         Ok((corr, resp, true))
     } else {
         Ok((0, decode_response(payload)?, false))
@@ -1353,7 +1180,11 @@ pub fn decode_response_any(payload: &[u8]) -> Result<(u64, Response, bool), Wire
 }
 
 #[cfg(test)]
+mod codec_oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::codec_oracle::put_varint;
     use super::*;
 
     #[test]
@@ -1908,33 +1739,6 @@ mod tests {
             decode_binary_envelope(&payload),
             Err(WireError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn zigzag_and_varint_cover_the_integer_edges() {
-        for n in [
-            0i64,
-            1,
-            -1,
-            i64::MAX,
-            i64::MIN,
-            1 << 40,
-            -(1 << 40),
-            127,
-            -128,
-        ] {
-            assert_eq!(unzigzag(zigzag(n)), n);
-        }
-        for n in [0u64, 1, 127, 128, u64::MAX, 1 << 63] {
-            let mut buf = Vec::new();
-            put_varint(n, &mut buf);
-            let mut r = BinReader {
-                bytes: &buf,
-                pos: 0,
-            };
-            assert_eq!(r.varint().unwrap(), n);
-            assert_eq!(r.remaining(), 0);
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!
 //! Transport note: sealed edit batches checksum their *canonical JSON*
 //! text ([`SessionEditRequest::seal`](crate::protocol::SessionEditRequest::seal)),
-//! and the binary wire envelope encodes the same value tree the JSON
+//! and the binary wire envelope encodes the same data model the JSON
 //! form serializes — so a batch sealed by a JSON client verifies
 //! unchanged when it arrives over a negotiated binary connection, and
 //! vice versa. Session requests are exempt from tune deduplication:

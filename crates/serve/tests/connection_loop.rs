@@ -209,6 +209,26 @@ fn hostile_frames_get_protocol_failures_on_both_framings() {
     server.shutdown_and_join();
 }
 
+/// A JSON frame of 10 KB of `[` nests far past the parser's depth
+/// bound. The connection's reader thread (default stack) refuses it
+/// with a typed protocol failure instead of overflowing, and the server
+/// keeps answering fresh connections.
+#[test]
+fn deeply_nested_json_frame_gets_a_protocol_failure() {
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let mut conn = TcpStream::connect(addr).unwrap();
+    write_frame(&mut conn, "[".repeat(10_000).as_bytes()).unwrap();
+    let payload = read_frame(&mut conn, DEFAULT_MAX_FRAME).unwrap();
+    match decode_response_any(&payload).unwrap().1 {
+        Response::Failed(f) => assert_eq!(f.kind, "protocol"),
+        other => panic!("expected a protocol failure, got {}", other.kind()),
+    }
+    let mut fresh = Client::connect(addr).unwrap();
+    assert!(matches!(fresh.call(&Request::Ping), Ok(Response::Pong)));
+    server.shutdown_and_join();
+}
+
 /// A connection that never negotiated pipelining keeps request order:
 /// a Ping written right behind a queued Tune is answered after it.
 #[test]
